@@ -71,7 +71,7 @@ func main() {
 	st := rt.Run(k, func(p renaming.Proc) {
 		names[p.ID()] = ren.Rename(p, uint64(p.ID())+1)
 	})
-	fmt.Println("\nwith crash plan {p3@t=20, p7@t=55}:")
+	fmt.Println("\nwith crash plan {p3@20, p7@55} (after that many own steps):")
 	for i, n := range names {
 		status := ""
 		if st.Crashed[i] {

@@ -66,9 +66,9 @@ func NewExecution(rt Runtime, k int) *Execution {
 func NewFaultPlan() *FaultPlan { return exec.NewFaultPlan() }
 
 // CrashAtStep is a one-call plan crashing each listed process when it is
-// about to take the step after the given number of completed steps — the
-// runtime-agnostic successor of CrashAt (which remains the simulator-only,
-// global-clock form).
+// about to take the step after the given number of its own completed
+// steps — the positions CrashAt takes, as a FaultPlan that arms on either
+// runtime.
 func CrashAtStep(at map[int]uint64) *FaultPlan {
 	plan := exec.NewFaultPlan()
 	for p, s := range at {

@@ -179,6 +179,9 @@ func TestFacadeCrashSchedule(t *testing.T) {
 	st := rt.Run(k, func(p renaming.Proc) {
 		names[p.ID()] = ren.Rename(p, uint64(p.ID())+1)
 	})
+	if !st.Crashed[2] {
+		t.Fatal("planned crash of process 2 did not fire")
+	}
 	var survivors []uint64
 	for i, n := range names {
 		if !st.Crashed[i] {

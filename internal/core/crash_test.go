@@ -14,16 +14,17 @@ import (
 func TestBitBatchingCrashSafety(t *testing.T) {
 	const n = 16
 	for seed := uint64(0); seed < 25; seed++ {
-		adv := sim.NewCrashPlan(sim.NewRandom(seed), map[int]uint64{
-			int(seed % n):       10 + seed*3,
-			int((seed * 7) % n): 40 + seed,
-		})
-		rt := sim.New(seed, adv)
+		at := map[int]uint64{
+			int(seed % n):       seed / 4,
+			int((seed * 7) % n): 2 + seed/5,
+		}
+		rt := sim.New(seed, sim.NewCrashPlan(sim.NewRandom(seed), at))
 		bb := NewBitBatching(rt, n, tas.MakeTwoProc)
 		names := make([]uint64, n)
 		st := rt.Run(n, func(p shmem.Proc) {
 			names[p.ID()] = bb.Rename(p, uint64(p.ID())+1)
 		})
+		requireCrashed(t, seed, at, st)
 		var survivors []uint64
 		for i, nm := range names {
 			if !st.Crashed[i] {
@@ -42,10 +43,8 @@ func TestBitBatchingCrashSafety(t *testing.T) {
 func TestFetchIncCrashSafety(t *testing.T) {
 	const m, k = 16, 6
 	for seed := uint64(0); seed < 25; seed++ {
-		adv := sim.NewCrashPlan(sim.NewRandom(seed), map[int]uint64{
-			int(seed % k): 15 + seed*2,
-		})
-		rt := sim.New(seed, adv)
+		at := map[int]uint64{int(seed % k): 15 + seed*2}
+		rt := sim.New(seed, sim.NewCrashPlan(sim.NewRandom(seed), at))
 		f := NewFetchInc(rt, m, tas.MakeTwoProc)
 		vals := make([][]uint64, k)
 		st := rt.Run(k, func(p shmem.Proc) {
@@ -53,6 +52,7 @@ func TestFetchIncCrashSafety(t *testing.T) {
 				vals[p.ID()] = append(vals[p.ID()], f.Inc(p))
 			}
 		})
+		requireCrashed(t, seed, at, st)
 		seen := map[uint64]bool{}
 		for i, vs := range vals {
 			if st.Crashed[i] {
@@ -77,10 +77,8 @@ func TestFetchIncCrashSafety(t *testing.T) {
 func TestCounterCrashSafety(t *testing.T) {
 	const k = 6
 	for seed := uint64(0); seed < 20; seed++ {
-		adv := sim.NewCrashPlan(sim.NewRandom(seed), map[int]uint64{
-			0: 20 + seed*2, 2: 60 + seed,
-		})
-		rt := sim.New(seed, adv)
+		at := map[int]uint64{0: 20 + seed*2, 2: 60 + seed}
+		rt := sim.New(seed, sim.NewCrashPlan(sim.NewRandom(seed), at))
 		c := NewMonotoneCounter(rt, tas.MakeTwoProc)
 		var incs, reads []Interval
 		st := rt.Run(k, func(p shmem.Proc) {
@@ -96,7 +94,7 @@ func TestCounterCrashSafety(t *testing.T) {
 				}
 			}
 		})
-		_ = st
+		requireCrashed(t, seed, at, st)
 		// Only completed operations made it into the slices (a crashed
 		// process panics out before its append) — exactly the history the
 		// checker is defined over. A crashed increment that already
@@ -121,6 +119,17 @@ func TestCounterCrashSafety(t *testing.T) {
 			if reads[i].Val < completedBefore {
 				t.Fatalf("seed=%d: read %d below %d completed increments", seed, reads[i].Val, completedBefore)
 			}
+		}
+	}
+}
+
+// requireCrashed fails unless every process named in the crash plan at
+// crashed: a plan that never fires leaves a crash test vacuous.
+func requireCrashed(t *testing.T, seed uint64, at map[int]uint64, st *shmem.Stats) {
+	t.Helper()
+	for p := range at {
+		if !st.Crashed[p] {
+			t.Fatalf("seed=%d: planned crash of process %d (after %d steps) did not fire", seed, p, at[p])
 		}
 	}
 }

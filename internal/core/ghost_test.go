@@ -106,18 +106,17 @@ func TestTheoremOneComparatorInvariants(t *testing.T) {
 // winners, and survivors must still get names in 1..k.
 func TestTheoremOneInvariantsWithCrashes(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
-		adv := sim.NewCrashPlan(sim.NewRandom(seed), map[int]uint64{
-			int(seed % 4): 10 + seed*2,
-		})
-		rt := sim.New(seed, adv)
+		at := map[int]uint64{int(seed % 4): 1 + seed/3}
+		rt := sim.New(seed, sim.NewCrashPlan(sim.NewRandom(seed), at))
 		rec := &recorder{base: tas.MakeTwoProc}
 		sa := NewStrongAdaptive(rt, &fixedTemp{
 			names: []uint64{2, 9, 33, 130},
 		}, rec.make)
 		const k = 4
-		rt.Run(k, func(p shmem.Proc) {
+		st := rt.Run(k, func(p shmem.Proc) {
 			sa.Rename(p, uint64(p.ID())+1)
 		})
+		requireCrashed(t, seed, at, st)
 		for i, c := range rec.all {
 			if c.won[0] && c.won[1] {
 				t.Fatalf("seed=%d: comparator %d has two winners", seed, i)

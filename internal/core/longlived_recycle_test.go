@@ -18,26 +18,18 @@ func TestLongLivedRecycleAfterCrashes(t *testing.T) {
 	const k = 8
 	for seed := uint64(0); seed < 10; seed++ {
 		// Execution one: every process acquires and holds; two crash at
-		// scheduled clock values (possibly mid-acquire, possibly holding).
-		adv := sim.NewCrashPlan(sim.NewRandom(seed), map[int]uint64{
-			int(seed % k):       15 + seed*2,
-			int((seed * 5) % k): 60 + seed,
-		})
-		rt := sim.New(seed, adv)
+		// scheduled own-step counts (possibly mid-acquire, possibly holding).
+		at := map[int]uint64{
+			int(seed % k):       2 + seed/2,
+			int((seed * 5) % k): 6 + seed/2,
+		}
+		rt := sim.New(seed, sim.NewCrashPlan(sim.NewRandom(seed), at))
 		ll := NewLongLived(rt, newStrongAdaptive(rt))
 		held := make([]uint64, k)
 		st := rt.Run(k, func(p shmem.Proc) {
 			held[p.ID()] = ll.Acquire(p)
 		})
-		crashes := 0
-		for _, c := range st.Crashed {
-			if c {
-				crashes++
-			}
-		}
-		if crashes == 0 {
-			t.Fatalf("seed=%d: crash plan injected no crashes; test is vacuous", seed)
-		}
+		requireCrashed(t, seed, at, st)
 
 		// Reset and rerun acquisition for all k processes. If a crashed
 		// holder's name leaked, the namespace could not come out tight.
@@ -71,9 +63,10 @@ func TestLongLivedResetBitIdentical(t *testing.T) {
 		fll := NewLongLived(fresh, newStrongAdaptive(fresh))
 		want := fresh.Run(k, body(fll))
 
-		rt := sim.New(seed+77, sim.NewCrashPlan(sim.NewRandom(seed+77), map[int]uint64{0: 5, 2: 30}))
+		at := map[int]uint64{0: 5, 2: 30}
+		rt := sim.New(seed+77, sim.NewCrashPlan(sim.NewRandom(seed+77), at))
 		ll := NewLongLived(rt, newStrongAdaptive(rt))
-		rt.Run(k, body(ll)) // crashy warmup leaves held names behind
+		requireCrashed(t, seed+77, at, rt.Run(k, body(ll))) // crashy warmup leaves held names behind
 
 		ll.Reset()
 		rt.Reset(seed, sim.NewRandom(seed))

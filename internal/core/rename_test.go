@@ -246,16 +246,15 @@ func TestRenamingNetworkCrashSafety(t *testing.T) {
 	const M = 16
 	net := sortnet.OddEvenMergeNet(M)
 	for seed := uint64(0); seed < 30; seed++ {
-		adv := sim.NewCrashPlan(sim.NewRandom(seed), map[int]uint64{
-			int(seed % 8): 5 + seed%40,
-		})
-		rt := sim.New(seed, adv)
+		at := map[int]uint64{int(seed % 8): seed / 3}
+		rt := sim.New(seed, sim.NewCrashPlan(sim.NewRandom(seed), at))
 		rn := NewRenamingNetwork(rt, net, tas.MakeTwoProc)
 		const k = 8
 		names := make([]uint64, k)
 		st := rt.Run(k, func(p shmem.Proc) {
 			names[p.ID()] = rn.Rename(p, uint64(p.ID())+1)
 		})
+		requireCrashed(t, seed, at, st)
 		var got []uint64
 		for i, n := range names {
 			if !st.Crashed[i] {

@@ -13,9 +13,9 @@
 //     runs on one runtime (reusing the native RunGroup machinery, so the
 //     steady state stays allocation-free).
 //   - A FaultPlan (crash-at-step, stall windows, pausing) arms on either
-//     runtime: natively through a step hook whose dispatch is type-based
-//     (zero cost while disarmed), on the simulator by wrapping the
-//     adversary.
+//     runtime through one sim.CrashPlan: natively behind a step hook whose
+//     dispatch is type-based (zero cost while disarmed), on the simulator
+//     as the adversary, wrapping the runtime's own.
 //   - An EventLog records the execution — every scheduling decision in a
 //     global total order with per-process sequence numbers, plus
 //     operation-level marks — on either runtime. A log recorded on the
@@ -45,9 +45,11 @@ type Execution struct {
 	group *shmem.RunGroup // native: reusable proc contexts
 	s     *sim.Runtime    // non-nil when rt is the simulator
 
-	plan *FaultPlan
-	log  *EventLog
-	rec  *nativeHook // live recorder of the current/last native run
+	plan   *FaultPlan
+	faults faults     // the plan's per-run state, rearmed by each Run
+	hook   nativeHook // the native step hook, rearmed by each armed Run
+	log    *EventLog
+	rec    *nativeHook // &hook while the current/last native run is armed
 	// simTraced remembers that we installed a trace observer on the sim
 	// runtime, so StopRecording-then-Run can remove it (the observer would
 	// otherwise survive Reset and keep appending into the stale log).
@@ -67,6 +69,7 @@ func New(rt shmem.Runtime, k int) *Execution {
 	case *shmem.Native:
 		e.n = t
 		e.group = t.NewRunGroup(k)
+		e.hook.held = make([]bool, k)
 	case *sim.Runtime:
 		e.s = t
 	}
@@ -81,8 +84,8 @@ func (e *Execution) Runtime() shmem.Runtime { return e.rt }
 
 // Faults arms plan for subsequent Runs (nil disarms — always legal, also
 // on third-party runtimes). The plan's static faults fire per run — crash
-// and stall positions are re-armed fresh each Run, so one plan drives many
-// executions.
+// and stall positions are rearmed in place by each Run, so one plan drives
+// many executions without allocating.
 func (e *Execution) Faults(plan *FaultPlan) {
 	if plan != nil {
 		e.requireHookable("fault injection")
@@ -131,13 +134,19 @@ func (e *Execution) Run(body func(p shmem.Proc)) *shmem.Stats {
 			if e.log != nil {
 				e.log.begin(e.k, e.n.Seed(), RuntimeNative)
 			}
-			e.rec = newNativeHook(e.plan, e.log, e.k)
+			e.hook.log, e.hook.faults = e.log, nil
+			if e.plan != nil {
+				e.faults.arm(e.plan, nil, e.k)
+				e.hook.faults = &e.faults
+			}
+			e.rec = &e.hook
 			e.group.SetHook(e.rec)
 		}
 		return e.group.Run(body)
 	case e.s != nil:
 		if e.plan != nil {
-			e.s.SetAdversary(wrapFaults(e.plan, e.s.Adversary(), e.k))
+			e.faults.arm(e.plan, e.s.Adversary(), e.k)
+			e.s.SetAdversary(&e.faults.crash)
 		}
 		if e.log != nil {
 			e.log.begin(e.k, e.s.Seed(), RuntimeSim)

@@ -75,6 +75,37 @@ func TestSimLogDeterminism(t *testing.T) {
 	}
 }
 
+// TestArmedSimRunAllocFree pins the in-place rearm: on a reusing
+// simulator, an Execution armed with a crash-only plan runs without
+// allocating once warm, because each Run rearms the plan's state instead
+// of building a new wrapper.
+func TestArmedSimRunAllocFree(t *testing.T) {
+	const k = 6
+	rt := sim.New(0, sim.NewSequential(), sim.WithReuse())
+	defer rt.Close()
+	ex := New(rt, k)
+	ex.Faults(NewFaultPlan().CrashAt(1, 2).CrashAt(4, 3))
+	sa := core.CompileStrongAdaptive(0).Instantiate(rt, tas.MakeUnit)
+	body := func(p shmem.Proc) { sa.Rename(p, uint64(p.ID())+1) }
+	adv := sim.NewRandom(0)
+	seed := uint64(0)
+	run := func() {
+		seed++
+		sa.Reset()
+		adv.Reseed(seed)
+		rt.Reset(seed, adv)
+		if st := ex.Run(body); !st.Crashed[1] || !st.Crashed[4] {
+			t.Fatalf("seed=%d: planned crashes did not fire: %v", seed, st.Crashed)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		run() // warm up: park the coroutines, grow the plan's state
+	}
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("armed simulator Run allocates %.1f times per run, want 0", avg)
+	}
+}
+
 // TestSimRecordedReplaysIdentically records a simulated execution and
 // replays its schedule through sim.FromTrace: the replay must produce the
 // identical EventLog (schedules, per-proc sequence numbers, names).

@@ -11,12 +11,12 @@ import (
 
 // FaultPlan is a runtime-agnostic failure schedule for one k-process
 // execution: crash-at-step, stall windows, and dynamic process pausing.
-// The same plan arms on both runtimes — on the native runtime through a
+// The same plan arms on both runtimes through one sim.CrashPlan — on the
+// simulator as the adversary, on the native runtime behind a
 // shmem.StepHook (type-dispatched: disarmed executions run the unchanged
-// step path), on the simulator by wrapping the adversary — with the same
-// process-local
-// semantics: positions are expressed in a process's own completed step
-// count, the one clock both runtimes share.
+// step path) that asks it whether a crash is due — with the same
+// process-local semantics: positions are expressed in a process's own
+// completed step count, the one clock both runtimes share.
 //
 // On the simulator a plan is deterministic: the same (seed, adversary,
 // FaultPlan) produces the same execution and the same EventLog. Pausing is
@@ -29,7 +29,7 @@ import (
 // for chaining and must complete before the plan is armed.
 type FaultPlan struct {
 	crashAt map[int]uint64
-	stalls  map[int][]Stall
+	stalls  []procStall // in the order they were scheduled
 
 	mu     sync.Mutex
 	paused map[int]*atomic.Bool
@@ -43,6 +43,11 @@ type Stall struct {
 	AtStep uint64
 	Steps  uint64
 	Wall   time.Duration
+}
+
+type procStall struct {
+	proc int
+	Stall
 }
 
 // NewFaultPlan returns an empty plan.
@@ -69,10 +74,7 @@ func (f *FaultPlan) Crashes() int { return len(f.crashAt) }
 // count: forSteps global steps on the simulator, wall wall-clock time on
 // the native runtime.
 func (f *FaultPlan) StallAt(proc int, step, forSteps uint64, wall time.Duration) *FaultPlan {
-	if f.stalls == nil {
-		f.stalls = make(map[int][]Stall)
-	}
-	f.stalls[proc] = append(f.stalls[proc], Stall{AtStep: step, Steps: forSteps, Wall: wall})
+	f.stalls = append(f.stalls, procStall{proc, Stall{AtStep: step, Steps: forSteps, Wall: wall}})
 	return f
 }
 
@@ -105,141 +107,88 @@ func (f *FaultPlan) gate(proc int) *atomic.Bool {
 	return g
 }
 
-// gates snapshots the pause gates for procs 0..k-1 so the per-step path
-// never takes the plan's lock (gates created later by Pause are picked up
-// because gate() is called for every proc up front when a plan is armed).
-func (f *FaultPlan) gates(k int) []*atomic.Bool {
-	gs := make([]*atomic.Bool, k)
-	for i := range gs {
-		gs[i] = f.gate(i)
-	}
-	return gs
+// faults is an Execution's per-run fault state, rearmed in place by every
+// armed Run so a warm Execution arms a plan without allocating: the crash
+// plan both runtimes consult, the pause gates, and the stall windows.
+type faults struct {
+	plan  *FaultPlan
+	crash sim.CrashPlan
+	gates []*atomic.Bool // pause gates of processes 0..k-1
+	// stallFired[i] records that plan.stalls[i] has opened; stallUntil[p]
+	// benches simulated process p until the global clock reaches it.
+	stallFired []bool
+	stallUntil []uint64
 }
 
-// planState is the per-run fault bookkeeping shared by both arming paths:
-// which crashes and stall windows have fired. A fresh one is built per Run
-// so plans are reusable across executions.
-type planState struct {
-	plan       *FaultPlan
-	gatesByID  []*atomic.Bool
-	crashFired []bool
-	stallFired map[int][]bool
+// arm rearms the state for a k-process run of plan over inner (the
+// simulator's adversary; nil on the native runtime). Gates are fetched for
+// every process up front, so the per-step path never takes the plan's lock
+// and a Pause arriving mid-run is still seen.
+func (f *faults) arm(plan *FaultPlan, inner sim.Adversary, k int) {
+	f.plan = plan
+	f.crash.Rearm(inner, f, k)
+	for p, step := range plan.crashAt {
+		f.crash.CrashAt(p, step)
+	}
+	f.gates = f.gates[:0]
+	for p := 0; p < k; p++ {
+		f.gates = append(f.gates, plan.gate(p))
+	}
+	f.stallFired = cleared(f.stallFired, len(plan.stalls))
+	f.stallUntil = cleared(f.stallUntil, k)
 }
 
-func newPlanState(plan *FaultPlan, k int) *planState {
-	st := &planState{plan: plan, gatesByID: plan.gates(k), crashFired: make([]bool, k)}
-	if len(plan.stalls) > 0 {
-		st.stallFired = make(map[int][]bool, len(plan.stalls))
-		for p, ss := range plan.stalls {
-			st.stallFired[p] = make([]bool, len(ss))
-		}
+// cleared returns s resized to n zero values, reusing its backing array.
+func cleared[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return st
-}
-
-// shouldCrash reports (once) that proc, having completed steps steps, is due
-// to crash.
-func (s *planState) shouldCrash(proc int, steps uint64) bool {
-	at, ok := s.plan.crashAt[proc]
-	if !ok || steps < at || proc >= len(s.crashFired) || s.crashFired[proc] {
-		return false
-	}
-	s.crashFired[proc] = true
-	return true
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // dueStall returns the first unfired stall window proc has reached, marking
 // it fired, or nil.
-func (s *planState) dueStall(proc int, steps uint64) *Stall {
-	ss := s.plan.stalls[proc]
-	fired := s.stallFired[proc]
-	for i := range ss {
-		if !fired[i] && steps >= ss[i].AtStep {
-			fired[i] = true
-			return &ss[i]
+func (f *faults) dueStall(proc int, steps uint64) *Stall {
+	for i := range f.plan.stalls {
+		s := &f.plan.stalls[i]
+		if s.proc == proc && !f.stallFired[i] && steps >= s.AtStep {
+			f.stallFired[i] = true
+			return &s.Stall
 		}
 	}
 	return nil
 }
 
-func (s *planState) paused(proc int) bool {
-	return proc < len(s.gatesByID) && s.gatesByID[proc].Load()
-}
-
-// --- Simulator arming: a fault-injecting adversary wrapper. ---
-
-// faultAdversary wraps an adversary with a FaultPlan. Like sim.CrashPlan it
-// expands burst grants into one decision per step, so faults are checked at
-// every step boundary exactly as a step-at-a-time schedule would; it does
-// not implement sim.NonCrashing, so the scheduler keeps consulting it even
-// with one live process.
-type faultAdversary struct {
-	state *planState
-	inner sim.Adversary
-	// stallUntil[p] benches process p until the global clock reaches it.
-	stallUntil []uint64
-	cur        int // process of the inner burst being expanded
-	left       int // remaining steps of that burst
-}
-
-// wrapFaults returns inner with plan's faults injected.
-func wrapFaults(plan *FaultPlan, inner sim.Adversary, k int) sim.Adversary {
-	return &faultAdversary{state: newPlanState(plan, k), inner: inner, stallUntil: make([]uint64, k)}
-}
-
-// Choose delegates to the inner adversary, benching stalled or paused
-// processes (the lowest-numbered unbenched ready process substitutes; if
-// every ready process is benched the choice stands, preserving liveness)
-// and converting due steps into crashes.
-func (a *faultAdversary) Choose(v *sim.View) sim.Decision {
-	var d sim.Decision
-	if a.left > 0 && v.Ready[a.cur] {
-		a.left--
-		d = sim.Decision{Proc: a.cur}
-	} else {
-		a.left = 0 // burst ended (exhausted, or the process finished or crashed)
-		d = a.inner.Choose(v)
-		if d.Burst > 1 {
-			a.cur, a.left = d.Proc, d.Burst-1
-			d.Burst = 0
-		}
-	}
-	// Open due stall windows for every ready process, so a window fires at
-	// the boundary it names even if the inner schedule ignores that process.
-	for p := range v.Ready {
-		if v.Ready[p] {
-			if st := a.state.dueStall(p, v.Steps[p]); st != nil {
-				a.stallUntil[p] = v.Clock + st.Steps
+// Substitute implements sim.Bench, holding back stalled and paused
+// processes on the simulator. It first opens due stall windows for every
+// ready process, so a window fires at the boundary it names even if the
+// inner schedule ignores that process. A benched choice is replaced by the
+// lowest-numbered ready unbenched process; if every ready process is
+// benched the choice stands, preserving liveness.
+func (f *faults) Substitute(v *sim.View, p int) int {
+	for q, ready := range v.Ready {
+		if ready {
+			if st := f.dueStall(q, v.Steps[q]); st != nil {
+				f.stallUntil[q] = v.Clock + st.Steps
 			}
 		}
 	}
-	if a.benched(v, d.Proc) {
-		if sub := a.substitute(v); sub >= 0 {
-			d = sim.Decision{Proc: sub}
-			a.left = 0 // the benched process's burst grant is forfeit
+	if !f.benched(v, p) {
+		return p
+	}
+	for q, ready := range v.Ready {
+		if ready && !f.benched(v, q) {
+			return q
 		}
 	}
-	if a.state.shouldCrash(d.Proc, v.Steps[d.Proc]) {
-		d.Crash = true
-		d.Burst = 0
-		a.left = 0
-	}
-	return d
+	return p
 }
 
 // benched reports whether p is inside a stall window or paused.
-func (a *faultAdversary) benched(v *sim.View, p int) bool {
-	return v.Clock < a.stallUntil[p] || a.state.paused(p)
-}
-
-// substitute returns the lowest-numbered ready unbenched process, or -1.
-func (a *faultAdversary) substitute(v *sim.View) int {
-	for p := range v.Ready {
-		if v.Ready[p] && !a.benched(v, p) {
-			return p
-		}
-	}
-	return -1
+func (f *faults) benched(v *sim.View, p int) bool {
+	return v.Clock < f.stallUntil[p] || f.gates[p].Load()
 }
 
 // --- Native arming: the step hook. ---
@@ -252,21 +201,13 @@ func (a *faultAdversary) substitute(v *sim.View) int {
 // the recorded order (the property sim.FromTrace replay depends on). The
 // cost is paid only while armed; see BENCHMARKS.md for measurements.
 type nativeHook struct {
-	state *planState
-	log   *EventLog
+	faults *faults // nil when no plan is armed
+	log    *EventLog
 
 	mu sync.Mutex
 	// held[p] is true while process p holds mu (between its last append and
 	// its next hook entry). Only process p touches held[p].
 	held []bool
-}
-
-func newNativeHook(plan *FaultPlan, log *EventLog, k int) *nativeHook {
-	h := &nativeHook{log: log, held: make([]bool, k)}
-	if plan != nil {
-		h.state = newPlanState(plan, k)
-	}
-	return h
 }
 
 // OnStep consults the plan, then records the step. The proc's previous
@@ -279,14 +220,14 @@ func (h *nativeHook) OnStep(p *shmem.NativeProc, op shmem.Op) bool {
 		h.held[id] = false
 		h.mu.Unlock()
 	}
-	if s := h.state; s != nil {
-		for s.paused(id) {
+	if f := h.faults; f != nil {
+		for f.gates[id].Load() {
 			time.Sleep(50 * time.Microsecond)
 		}
-		if st := s.dueStall(id, p.StepsTaken()); st != nil && st.Wall > 0 {
+		if st := f.dueStall(id, p.StepsTaken()); st != nil && st.Wall > 0 {
 			time.Sleep(st.Wall)
 		}
-		if s.shouldCrash(id, p.StepsTaken()) {
+		if f.crash.Due(id, p.StepsTaken()) {
 			if h.log != nil {
 				h.mu.Lock()
 				h.log.append(Event{Proc: int32(id), Kind: EvCrash, Op: op})

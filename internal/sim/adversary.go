@@ -281,51 +281,115 @@ func (a *Oscillator) Choose(v *View) Decision {
 // NeverCrashes marks the schedule for the single-ready fast path.
 func (*Oscillator) NeverCrashes() {}
 
-// CrashPlan wraps an adversary and crashes selected processes the first time
-// they are scheduled at or after a given global clock value. It deliberately
-// does not implement NonCrashing: the scheduler must keep consulting it even
-// when a single process remains, so planned crashes still fire.
+// CrashPlan wraps an adversary and crashes selected processes: a planned
+// process crashes the first time it is chosen having completed at least its
+// planned number of its own steps (View.Steps). A process's own step count
+// is the one clock every runtime shares, so a plan means the same wherever
+// it is armed: directly on a simulator, in a sweep arena, through an
+// exec.FaultPlan, and on the native runtime, whose step hook asks Due
+// before every step. It is the repository's only crash injector.
 //
 // Burst grants from the inner adversary are expanded into one decision per
-// step so the plan is checked at every step boundary, exactly as it was
-// against a step-at-a-time schedule; crash runs trade the burst speedup for
-// faithful crash timing.
+// step, so the plan is checked at every step boundary, exactly as against a
+// step-at-a-time schedule; crash runs trade the burst speedup for faithful
+// crash timing. It deliberately does not implement NonCrashing: the
+// scheduler must keep consulting it even when a single process remains, so
+// planned crashes still fire.
 type CrashPlan struct {
-	Inner Adversary
-	// At maps process id to the clock value at (or after) which its next
-	// scheduling becomes a crash.
-	At map[int]uint64
-
-	crashed map[int]bool
-	cur     int // process of the inner burst being expanded
-	left    int // remaining steps of that burst
+	inner Adversary
+	bench Bench
+	// at[p] is the completed-step count at which process p crashes; done[p]
+	// reports that p has no crash left to fire (none planned, or it fired).
+	at   []uint64
+	done []bool
+	cur  int // process of the inner burst being expanded
+	left int // remaining steps of that burst
 }
 
-// NewCrashPlan wraps inner with scheduled crashes.
+// Bench is an optional stage of a CrashPlan that holds processes back (the
+// execution layer's stall windows and pause gates). It is consulted after a
+// burst is expanded and before the crash check.
+type Bench interface {
+	// Substitute returns the process to schedule instead of the chosen
+	// process p, or p itself to let the choice stand.
+	Substitute(v *View, p int) int
+}
+
+// NewCrashPlan wraps inner with scheduled crashes: at maps a process to the
+// number of its own completed steps after which its next scheduling becomes
+// a crash (0 crashes it before its first step).
 func NewCrashPlan(inner Adversary, at map[int]uint64) *CrashPlan {
-	return &CrashPlan{Inner: inner, At: at, crashed: make(map[int]bool, len(at))}
+	k := 0
+	for p := range at {
+		k = max(k, p+1)
+	}
+	a := &CrashPlan{}
+	a.Rearm(inner, nil, k)
+	for p, step := range at {
+		a.CrashAt(p, step)
+	}
+	return a
 }
 
-// Choose delegates to the inner adversary and converts the chosen step into
-// a crash when the plan says so.
+// Rearm resets the plan in place for a run of k processes over inner, with
+// bench (nil for none) and no crash planned. It reuses the plan's slices,
+// so once they have grown to k a rearm allocates nothing.
+func (a *CrashPlan) Rearm(inner Adversary, bench Bench, k int) {
+	a.inner, a.bench = inner, bench
+	a.cur, a.left = 0, 0
+	if cap(a.at) < k {
+		a.at, a.done = make([]uint64, k), make([]bool, k)
+	}
+	a.at, a.done = a.at[:k], a.done[:k]
+	for p := range a.done {
+		a.done[p] = true
+	}
+}
+
+// CrashAt plans process p to crash once it has completed step steps. A later
+// entry for the same process replaces the earlier one; entries for
+// processes outside the armed range never fire.
+func (a *CrashPlan) CrashAt(p int, step uint64) {
+	if p >= 0 && p < len(a.at) {
+		a.at[p], a.done[p] = step, false
+	}
+}
+
+// Due reports, once, that process p, having completed steps steps, must
+// crash instead of taking its next step. Distinct processes may call it
+// concurrently, as the native step hook does: each touches only its own
+// entry.
+func (a *CrashPlan) Due(p int, steps uint64) bool {
+	if p >= len(a.done) || a.done[p] || steps < a.at[p] {
+		return false
+	}
+	a.done[p] = true
+	return true
+}
+
+// Choose delegates to the inner adversary, expanding bursts, lets the bench
+// substitute a held-back choice, and converts due steps into crashes.
 func (a *CrashPlan) Choose(v *View) Decision {
+	var d Decision
 	if a.left > 0 && v.Ready[a.cur] {
 		a.left--
-		return a.maybeCrash(v, Decision{Proc: a.cur})
+		d.Proc = a.cur
+	} else {
+		a.left = 0 // burst ended (exhausted, or the process finished or crashed)
+		d = a.inner.Choose(v)
+		if d.Burst > 1 {
+			a.cur, a.left = d.Proc, d.Burst-1
+			d.Burst = 0
+		}
 	}
-	a.left = 0 // burst ended (exhausted, or the process finished or crashed)
-	d := a.Inner.Choose(v)
-	if d.Burst > 1 {
-		a.cur, a.left = d.Proc, d.Burst-1
-		d.Burst = 0
+	if a.bench != nil {
+		if p := a.bench.Substitute(v, d.Proc); p != d.Proc {
+			d = Decision{Proc: p}
+			a.left = 0 // the held-back process's burst grant is forfeit
+		}
 	}
-	return a.maybeCrash(v, d)
-}
-
-func (a *CrashPlan) maybeCrash(v *View, d Decision) Decision {
-	if t, ok := a.At[d.Proc]; ok && v.Clock >= t && !a.crashed[d.Proc] {
-		a.crashed[d.Proc] = true
-		d.Crash = true
+	if a.Due(d.Proc, v.Steps[d.Proc]) {
+		d.Crash, d.Burst = true, 0
 		a.left = 0 // the crash consumes the rest of the expanded burst
 	}
 	return d

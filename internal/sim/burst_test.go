@@ -189,8 +189,8 @@ func TestReplayEquivalence(t *testing.T) {
 // not skipped: CrashPlan expands inner bursts so the plan is consulted at
 // every step boundary, as it was under the one-step-at-a-time scheduler.
 func TestCrashPlanFiresInsideBurst(t *testing.T) {
-	// Sequential grants MaxBurst; the crash for process 0 is planned at
-	// clock 5, well inside its first burst.
+	// Sequential grants MaxBurst; the crash for process 0 is planned after
+	// its 5th step, well inside its first burst.
 	adv := NewCrashPlan(NewSequential(), map[int]uint64{0: 5})
 	rt := New(1, adv)
 	r := rt.NewReg(0)

@@ -75,6 +75,9 @@ func TestReuseRunsBitIdentical(t *testing.T) {
 				t.Errorf("seed %d %s: reused run stats diverged\nfresh: %+v\nreuse: %+v",
 					seed, tc.name, want, got)
 			}
+			if tc.name == "crashplan" && !(want.Crashed[0] && want.Crashed[3]) {
+				t.Errorf("seed %d: planned crashes did not fire: %v", seed, want.Crashed)
+			}
 			if !reflect.DeepEqual(wantTrace, gotTrace) {
 				t.Errorf("seed %d %s: reused run trace diverged (%d vs %d events)",
 					seed, tc.name, len(wantTrace), len(gotTrace))

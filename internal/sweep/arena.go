@@ -8,67 +8,6 @@ import (
 	"repro/internal/tas"
 )
 
-// noCrashStep marks "no crash scheduled" in the crash wrapper's per-process
-// array.
-const noCrashStep = ^uint64(0)
-
-// crashAdv wraps an inner adversary with a fixed-size crash plan. Its
-// semantics mirror the execution layer's fault adversary exactly — bursts
-// expand into one decision per step, and a process crashes the first time
-// it is chosen having completed at least its planned step count — so a
-// schedule observed through this wrapper re-records identically through
-// exec.FaultPlan when a worst case is harvested. Unlike sim.CrashPlan it
-// arms in place from fixed arrays: no per-execution allocation.
-//
-// It deliberately does not implement sim.NonCrashing.
-type crashAdv struct {
-	inner sim.Adversary
-	at    [maxProcs]uint64
-	fired [maxProcs]bool
-	cur   int // process of the inner burst being expanded
-	left  int // remaining steps of that burst
-}
-
-// arm points the wrapper at inner with plan's crash points for processes
-// < k (matching exec.FaultPlan, entries for absent processes never fire).
-func (a *crashAdv) arm(inner sim.Adversary, plan []CrashAt, k int) {
-	a.inner = inner
-	a.cur, a.left = 0, 0
-	for i := 0; i < k; i++ {
-		a.at[i] = noCrashStep
-		a.fired[i] = false
-	}
-	for _, c := range plan {
-		if c.Proc < k {
-			a.at[c.Proc] = c.Step
-		}
-	}
-}
-
-// Choose delegates to the inner adversary, expanding bursts, and converts
-// due steps into crashes.
-func (a *crashAdv) Choose(v *sim.View) sim.Decision {
-	var d sim.Decision
-	if a.left > 0 && v.Ready[a.cur] {
-		a.left--
-		d = sim.Decision{Proc: a.cur}
-	} else {
-		a.left = 0 // burst ended (exhausted, or the process finished or crashed)
-		d = a.inner.Choose(v)
-		if d.Burst > 1 {
-			a.cur, a.left = d.Proc, d.Burst-1
-			d.Burst = 0
-		}
-	}
-	if !a.fired[d.Proc] && v.Steps[d.Proc] >= a.at[d.Proc] {
-		a.fired[d.Proc] = true
-		d.Crash = true
-		d.Burst = 0
-		a.left = 0
-	}
-	return d
-}
-
 // advSet holds one rearmable adversary per family. Stateful families are
 // reset in place per execution; seeded families are reseeded from the
 // task's seed, producing the decision stream a freshly constructed
@@ -119,26 +58,6 @@ func (s *advSet) arm(spec AdvSpec, seed uint64, k int) sim.Adversary {
 		return s.lag
 	default:
 		return s.seq
-	}
-}
-
-// freshAdv builds a new adversary for spec — the harvest path's
-// constructor, producing the same decision stream arm produces in the
-// arena.
-func freshAdv(spec AdvSpec, seed uint64, k int) sim.Adversary {
-	switch spec.Kind {
-	case AdvRandom:
-		return sim.NewRandom(seed)
-	case AdvRoundRobin:
-		return sim.NewRoundRobinBurst(spec.Burst)
-	case AdvOscillator:
-		return sim.NewOscillator(spec.Burst)
-	case AdvAntiCoin:
-		return sim.NewAntiCoin(seed)
-	case AdvLaggard:
-		return sim.NewLaggard(spec.Victim % k)
-	default:
-		return sim.NewSequential()
 	}
 }
 
@@ -215,11 +134,11 @@ func (sl *slot) run(seed uint64, adv sim.Adversary) *shmem.Stats {
 
 // arena is one worker's long-lived execution state: a slot per object
 // (built lazily, so a worker that never touches an object never pays its
-// instantiation), the rearmable adversary families, and the crash wrapper.
+// instantiation), the rearmable adversary families, and the crash plan.
 type arena struct {
 	slots   []*slot
 	advs    *advSet
-	crash   crashAdv
+	crash   sim.CrashPlan
 	stepCap uint64
 }
 
@@ -238,6 +157,21 @@ func (a *arena) slot(objects []ObjectSpec, i int) *slot {
 		a.slots[i] = buildSlot(objects[i], a.stepCap)
 	}
 	return a.slots[i]
+}
+
+// crashes returns inner wrapped in the arena's crash plan, rearmed in place
+// with plan's crash points for a k-process run; an empty plan returns inner.
+// exec.FaultPlan arms the same sim.CrashPlan, so a schedule observed here
+// re-records identically when a worst case is harvested.
+func (a *arena) crashes(inner sim.Adversary, plan []CrashAt, k int) sim.Adversary {
+	if len(plan) == 0 {
+		return inner
+	}
+	a.crash.Rearm(inner, nil, k)
+	for _, c := range plan {
+		a.crash.CrashAt(c.Proc, c.Step)
+	}
+	return &a.crash
 }
 
 // close reaps every slot's parked coroutines.

@@ -15,7 +15,7 @@
 //
 //   - Each worker owns an arena: per object, one sim.Runtime in reuse mode
 //     (sim.WithReuse) with the compiled blueprint instantiated once, plus
-//     rearmable adversaries and a reusable crash-plan wrapper. An
+//     rearmable adversaries and a rearmable sim.CrashPlan. An
 //     execution is then Reset + rearm + Run — allocation-free in steady
 //     state, several times cheaper than the naive instantiate-per-run loop
 //     (see BENCHMARKS.md, "The sweep engine").

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/shmem"
-	"repro/internal/sim"
 )
 
 // Options configures a sweep.
@@ -209,13 +208,8 @@ func (w *worker) runTask(t int) {
 	k := sl.spec.K
 	seed := sp.Seeds[si]
 
-	var adv sim.Adversary = w.arena.advs.arm(sp.Advs[ai], seed, k)
 	plan := sp.Plans[pi]
-	if len(plan.At) > 0 {
-		w.arena.crash.arm(adv, plan.At, k)
-		adv = &w.arena.crash
-	}
-
+	adv := w.arena.crashes(w.arena.advs.arm(sp.Advs[ai], seed, k), plan.At, k)
 	st := sl.run(seed, adv)
 	ref := runRef{
 		steps:   st.MaxSteps(),

@@ -27,9 +27,11 @@ func (s *Sweep) harvestRef(obj int, ref runRef, why string) Harvest {
 	spec := s.space.Objects[obj]
 	k := spec.K
 
+	// A fresh advSet's arm is the arena's own family switch, so both paths
+	// build the same decision stream.
 	var inner sim.Adversary
 	if ref.advIdx >= 0 {
-		inner = freshAdv(s.space.Advs[ref.advIdx], ref.advSeed, k)
+		inner = newAdvSet().arm(s.space.Advs[ref.advIdx], ref.advSeed, k)
 	} else {
 		inner = sim.NewRandom(ref.advSeed)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 // Search mode hunts worst-case executions instead of enumerating a grid:
@@ -52,11 +51,7 @@ func (w *worker) runChain(c int) {
 		}
 
 		w.arena.advs.random.Reseed(cand.advSeed)
-		var adv sim.Adversary = w.arena.advs.random
-		if cand.nPlan > 0 {
-			w.arena.crash.arm(adv, cand.plan[:cand.nPlan], k)
-			adv = &w.arena.crash
-		}
+		adv := w.arena.crashes(w.arena.advs.random, cand.plan[:cand.nPlan], k)
 		st := sl.run(seed, adv)
 		ref := runRef{
 			steps:   st.MaxSteps(),

@@ -6,8 +6,8 @@ import (
 )
 
 // maxProcs bounds the process count of sweep objects. It keeps the name
-// uniqueness check a single uint64 bitmask and the crash wrapper's
-// per-process arrays fixed-size (allocation-free arming).
+// uniqueness check a single uint64 bitmask and the per-slot result array
+// fixed-size.
 const maxProcs = 64
 
 // maxPlanCrashes bounds the crash points of one plan (grid plans and
@@ -137,9 +137,9 @@ func BurstAdvs() []AdvSpec {
 }
 
 // CrashAt schedules one crash: process Proc dies when about to take its
-// next step after completing Step steps — the same per-process position
-// base as exec.FaultPlan.CrashAt, so a harvested plan re-records
-// identically through the execution layer.
+// next step after completing Step steps. The arena arms it on a
+// sim.CrashPlan and the harvest through exec.FaultPlan.CrashAt, which arms
+// the same sim.CrashPlan, so a harvested plan re-records identically.
 type CrashAt struct {
 	Proc int    `json:"proc"`
 	Step uint64 `json:"step"`

@@ -86,26 +86,32 @@ func TestTwoProcSoloAlwaysWins(t *testing.T) {
 }
 
 func TestTwoProcCrashSafety(t *testing.T) {
-	// Crash one side at every possible step offset: never two winners, and
-	// a survivor that loses must have observed the crashed opponent.
+	// Crash one side at every step offset it reaches, under several coin
+	// seeds: never two winners, and a survivor that loses must have
+	// observed the crashed opponent.
 	for victim := 0; victim < 2; victim++ {
-		for at := uint64(0); at < 12; at++ {
-			adv := sim.NewCrashPlan(sim.NewRoundRobin(), map[int]uint64{victim: at})
-			rt := sim.New(at+1, adv)
-			ts := NewTwoProc(rt)
-			var wins [2]bool
-			st := rt.Run(2, func(p shmem.Proc) {
-				wins[p.ID()] = ts.TestAndSetSide(p, p.ID())
-			})
-			if wins[0] && wins[1] {
-				t.Fatalf("victim=%d at=%d: two winners", victim, at)
-			}
-			survivor := 1 - victim
-			if st.Crashed[victim] && !wins[survivor] {
-				// Legal only if the victim entered the object (wrote its
-				// register) before crashing.
-				if st.PerProc[victim].Ops[shmem.OpWrite] == 0 {
-					t.Fatalf("victim=%d at=%d: survivor lost to a ghost", victim, at)
+		for seed := uint64(1); seed <= 4; seed++ {
+			for at := uint64(0); ; at++ {
+				adv := sim.NewCrashPlan(sim.NewRoundRobin(), map[int]uint64{victim: at})
+				rt := sim.New(seed, adv)
+				ts := NewTwoProc(rt)
+				var wins [2]bool
+				st := rt.Run(2, func(p shmem.Proc) {
+					wins[p.ID()] = ts.TestAndSetSide(p, p.ID())
+				})
+				if wins[0] && wins[1] {
+					t.Fatalf("victim=%d seed=%d at=%d: two winners", victim, seed, at)
+				}
+				if !st.Crashed[victim] {
+					if at < 2 {
+						t.Fatalf("victim=%d seed=%d: planned crash after %d steps did not fire, but the victim always writes and reads", victim, seed, at)
+					}
+					break // the victim finished before step at: every offset it reaches is covered
+				}
+				// A survivor may lose only if the victim entered the object
+				// (wrote its register) before crashing.
+				if !wins[1-victim] && st.PerProc[victim].Ops[shmem.OpWrite] == 0 {
+					t.Fatalf("victim=%d seed=%d at=%d: survivor lost to a ghost", victim, seed, at)
 				}
 			}
 		}
@@ -262,34 +268,40 @@ func TestRatRaceFastPathSolo(t *testing.T) {
 
 func TestRatRaceFastPathCrashSafety(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
-		crash := map[int]uint64{int(seed % 4): 3 + seed%20}
-		adv := sim.NewCrashPlan(sim.NewRandom(seed), crash)
+		victim := int(seed % 4)
+		adv := sim.NewCrashPlan(sim.NewRandom(seed), map[int]uint64{victim: seed % 6})
 		rt := sim.New(seed, adv)
 		rr := NewRatRaceWithFastPath(rt, MakeTwoProc)
 		const k = 4
 		wins := make([]bool, k)
-		rt.Run(k, func(p shmem.Proc) {
+		st := rt.Run(k, func(p shmem.Proc) {
 			wins[p.ID()] = rr.TestAndSet(p, uint64(p.ID())+1)
 		})
 		if n := countTrue(wins); n > 1 {
 			t.Fatalf("seed=%d: %d winners", seed, n)
+		}
+		if !st.Crashed[victim] {
+			t.Fatalf("seed=%d: planned crash of process %d did not fire", seed, victim)
 		}
 	}
 }
 
 func TestRatRaceAtMostOneWinnerUnderCrashes(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
-		crash := map[int]uint64{int(seed % 5): seed * 3, int(seed % 3): seed * 7}
+		crash := map[int]uint64{int(seed % 5): seed / 2, int(seed % 3): seed / 4}
 		adv := sim.NewCrashPlan(sim.NewRandom(seed), crash)
 		rt := sim.New(seed, adv)
 		rr := NewRatRace(rt, MakeTwoProc)
 		const k = 5
 		wins := make([]bool, k)
-		rt.Run(k, func(p shmem.Proc) {
+		st := rt.Run(k, func(p shmem.Proc) {
 			wins[p.ID()] = rr.TestAndSet(p, uint64(p.ID())+1)
 		})
 		if n := countTrue(wins); n > 1 {
 			t.Fatalf("seed=%d: %d winners", seed, n)
+		}
+		if countTrue(st.Crashed) == 0 {
+			t.Fatalf("seed=%d: crash plan %v fired no crash", seed, crash)
 		}
 	}
 }

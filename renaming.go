@@ -150,11 +150,11 @@ func AntiCoin(seed uint64) Adversary { return sim.NewAntiCoin(seed) }
 // others finish.
 func Laggard(victim int) Adversary { return sim.NewLaggard(victim) }
 
-// CrashAt wraps an adversary so that each process listed in at crashes the
-// first time it is scheduled at or after the given global clock value —
-// the simulator-only form. The runtime-agnostic form is a FaultPlan
-// (CrashAtStep, in process-local steps), which also arms on the native
-// runtime; see NewExecution.
+// CrashAt wraps an adversary so that each process listed in at crashes
+// when it is about to take the step after the given number of its own
+// completed steps (0 crashes it before its first step). It is the
+// simulator-only form; CrashAtStep builds the same plan as a FaultPlan,
+// which also arms on the native runtime (see NewExecution).
 func CrashAt(inner Adversary, at map[int]uint64) Adversary {
 	return sim.NewCrashPlan(inner, at)
 }

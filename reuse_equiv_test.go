@@ -20,19 +20,36 @@ import (
 )
 
 // advPoint names one adversary construction so both paths build identical,
-// fresh schedule state.
+// fresh schedule state; crashes is the number of processes its crash plan
+// kills in every execution of the matrix.
 type advPoint struct {
-	name string
-	make func(seed uint64) renaming.Adversary
+	name    string
+	make    func(seed uint64) renaming.Adversary
+	crashes int
 }
 
 func advMatrix() []advPoint {
 	return []advPoint{
-		{"random", func(seed uint64) renaming.Adversary { return renaming.RandomSchedule(seed) }},
-		{"anticoin", func(seed uint64) renaming.Adversary { return renaming.AntiCoin(seed ^ 0xA5A5) }},
+		{"random", func(seed uint64) renaming.Adversary { return renaming.RandomSchedule(seed) }, 0},
+		{"anticoin", func(seed uint64) renaming.Adversary { return renaming.AntiCoin(seed ^ 0xA5A5) }, 0},
 		{"crash", func(seed uint64) renaming.Adversary {
-			return renaming.CrashAt(renaming.RandomSchedule(seed), map[int]uint64{1: 10, 3: 25})
-		}},
+			return renaming.CrashAt(renaming.RandomSchedule(seed), map[int]uint64{1: 2, 3: 3})
+		}, 2},
+	}
+}
+
+// checkCrashes fails unless st reports exactly the crashes ap plans: a
+// plan that does not fire would leave the crash point vacuous.
+func checkCrashes(t *testing.T, ap advPoint, st *renaming.Stats) {
+	t.Helper()
+	n := 0
+	for _, c := range st.Crashed {
+		if c {
+			n++
+		}
+	}
+	if n != ap.crashes {
+		t.Errorf("%s: %d processes crashed, want %d", ap.name, n, ap.crashes)
 	}
 }
 
@@ -140,6 +157,7 @@ func TestResetPathBitIdenticalToFresh(t *testing.T) {
 						fresh := renaming.NewSim(seed, ap.make(seed))
 						fBody, _ := tc.build(fresh)
 						want := fresh.Run(tc.k, fBody)
+						checkCrashes(t, ap, want)
 
 						reset()
 						rt.Reset(seed, ap.make(seed))
@@ -192,6 +210,7 @@ func TestPooledCheckoutBitIdenticalToFresh(t *testing.T) {
 						fresh := renaming.NewSim(seed, ap.make(seed))
 						fBody, _ := tc.build(fresh)
 						want := fresh.Run(tc.k, fBody)
+						checkCrashes(t, ap, want)
 
 						in := pool.Get()
 						in.Runtime().(*sim.Runtime).Reset(seed, ap.make(seed))
