@@ -242,11 +242,14 @@
 // RunScenarioWire (and cmd/renameload -addr) drives the full scenario
 // catalog through this path with the open-loop scheduling and
 // coordinated-omission accounting unchanged, against cmd/renameserve on
-// the other side; any connection opening with an HTTP method gets the
-// observability surface instead of the binary protocol — /metrics
-// (plain-text gauges, counters, and per-op latency histograms), /trace
-// (recorded spans; see "Tracing"), and /debug/pprof (runtime profiles) on
-// the same port.
+// the other side. WireServer speaks only the binary protocol; its
+// observability data is WireServer.MetricsText (plain-text gauges,
+// counters, and per-op latency histograms) and WireServer.TraceText
+// (recorded spans; see "Tracing"), which library embedders serve or log
+// as they choose. cmd/renameserve serves them over net/http on its wire
+// port — any connection opening with an HTTP method gets /metrics,
+// /trace, and the net/http/pprof runtime profiles instead of the binary
+// protocol.
 //
 // # Clustered serving
 //
@@ -316,7 +319,8 @@
 // the recent window and slowest-span exemplars — so the disarmed path
 // costs one load-and-branch and the armed path stays pinned at zero
 // allocations alongside the serve path it measures. Server-side spans
-// serve on each node's /trace endpoint as JSON lines next to /metrics
+// read out as JSON lines through WireServer.TraceText, which
+// cmd/renameserve serves on each node's /trace endpoint next to /metrics
 // (whose per-op histograms carry slowest-op trace-id exemplars — the
 // bridge from an aggregate to a chain); renameload -trace N prints the N
 // slowest client-side chains after a run. BENCHMARKS.md "Observability"

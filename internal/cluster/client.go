@@ -362,24 +362,8 @@ func (b *Batch) OpErr(i int) error {
 // cluster through the same adapter surface as the single-node wire client,
 // with routing by the generator's key and rename replies offset to
 // cluster-wide names. Reports carry Transport "cluster" (TransportName).
-func (c *Client) Op(kind load.RemoteOp, key uint64, k int) (uint64, error) {
-	switch kind {
-	case load.RemoteRename:
-		return c.Do(wire.OpRename, key, key)
-	case load.RemoteInc:
-		return c.Do(wire.OpInc, key, key)
-	case load.RemoteRead:
-		return c.Do(wire.OpRead, key, key)
-	case load.RemoteWave:
-		return c.Do(wire.OpWave, key, uint64(k))
-	case load.RemotePhasedInc:
-		return c.Do(wire.OpPhasedInc, key, 0)
-	case load.RemotePhasedRead:
-		return c.Do(wire.OpPhasedRead, key, 0)
-	case load.RemotePhasedReadStrict:
-		return c.Do(wire.OpPhasedReadStrict, key, 0)
-	}
-	return 0, fmt.Errorf("cluster: unknown remote op %d", kind)
+func (c *Client) Op(code wire.OpCode, key, arg uint64) (uint64, error) {
+	return c.Do(code, key, arg)
 }
 
 // TransportName labels cluster runs in load reports.

@@ -219,11 +219,14 @@ func TestClusterStagesUnderAdmission(t *testing.T) {
 		}
 		return false
 	}
+	// A batch that queues and is then shed, or misses its deadline, records
+	// its admit span but echoes no stages (only replies carry them), so
+	// wait for both events.
 	b := c.NewBatch()
 	deadline := time.Now().Add(10 * time.Second)
-	for !waited() {
+	for !waited() || c.Stages().AdmitNS == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no admit span with a nonzero wait on any node after 10s of wave contention")
+			t.Fatalf("no admit wait both in a span and in the echoed stages after 10s of wave contention: %+v", c.Stages())
 		}
 		b.Reset().WithDeadline(5 * time.Millisecond)
 		for k := uint64(0); k < 32; k++ {
@@ -236,9 +239,10 @@ func TestClusterStagesUnderAdmission(t *testing.T) {
 
 	// The same waits must surface in the client's stage accounting: the
 	// admit component of the echoed decomposition is what renameload's
-	// stages row attributes the tail to.
-	if st := c.Stages(); st.Frames == 0 {
-		t.Fatalf("no traced frames accumulated: %+v", st)
+	// stages row attributes the tail to, and it is part of the server's
+	// hold time.
+	if st := c.Stages(); st.Frames == 0 || st.AdmitNS == 0 || st.AdmitNS > st.SrvNS {
+		t.Fatalf("stage sums inconsistent: %+v", st)
 	}
 }
 

@@ -1,27 +1,6 @@
 package load
 
-// RemoteOp identifies one operation kind a remote transport can carry. The
-// set mirrors the scenario mix (rename, counter inc/read, waves) plus the
-// shared phased counter's three verbs, so every catalog scenario can run
-// unchanged over a wire.
-type RemoteOp int
-
-const (
-	// RemoteRename is one rename routed by key.
-	RemoteRename RemoteOp = iota
-	// RemoteInc is one pooled-counter increment routed by key.
-	RemoteInc
-	// RemoteRead is one pooled-counter read routed by key.
-	RemoteRead
-	// RemoteWave is one k-process execution wave (k in the k argument).
-	RemoteWave
-	// RemotePhasedInc increments the shared phased counter.
-	RemotePhasedInc
-	// RemotePhasedRead reads the shared phased counter (fast path).
-	RemotePhasedRead
-	// RemotePhasedReadStrict reads the phased counter with reconciliation.
-	RemotePhasedReadStrict
-)
+import "repro/internal/wire"
 
 // Remote is a transport that executes one operation against a remote
 // serving tier and blocks for its result. The wire client
@@ -30,11 +9,13 @@ const (
 // with the scheduled-arrival latency accounting unchanged — so wire and
 // in-process runs of one scenario are directly comparable.
 //
-// key is the shard routing key for the per-op kinds; k is the wave width
-// for RemoteWave. Implementations must be safe for concurrent use — every
-// generator worker calls Op from its own goroutine.
+// code is the wire operation, key routes it to a node (transports with a
+// single server ignore it) and arg is its wire argument: the shard key for
+// the per-op kinds, the width for a wave, 0 for the phased counter.
+// Implementations must be safe for concurrent use — every generator worker
+// calls Op from its own goroutine.
 type Remote interface {
-	Op(kind RemoteOp, key uint64, k int) (uint64, error)
+	Op(code wire.OpCode, key, arg uint64) (uint64, error)
 }
 
 // RunRemote executes scenario s against rem — the wire path's counterpart

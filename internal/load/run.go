@@ -14,6 +14,7 @@ import (
 	"repro/internal/shmem"
 	"repro/internal/sortnet"
 	"repro/internal/tas"
+	"repro/internal/wire"
 )
 
 // Target is the served system under load: the sharded pools the generators
@@ -373,18 +374,18 @@ func runRemoteOp(s *Scenario, kind opKind, at float64, key uint64, g *gauges) {
 	var err error
 	switch kind {
 	case opRename:
-		_, err = g.rem.Op(RemoteRename, key, 0)
+		_, err = g.rem.Op(wire.OpRename, key, key)
 	case opInc:
 		if s.Phased {
-			_, err = g.rem.Op(RemotePhasedInc, 0, 0)
+			_, err = g.rem.Op(wire.OpPhasedInc, 0, 0)
 		} else {
-			_, err = g.rem.Op(RemoteInc, key, 0)
+			_, err = g.rem.Op(wire.OpInc, key, key)
 		}
 	case opRead:
 		if s.Phased {
-			_, err = g.rem.Op(RemotePhasedRead, 0, 0)
+			_, err = g.rem.Op(wire.OpPhasedRead, 0, 0)
 		} else {
-			_, err = g.rem.Op(RemoteRead, key, 0)
+			_, err = g.rem.Op(wire.OpRead, key, key)
 		}
 	case opWave:
 		k := s.kAt(at)
@@ -394,7 +395,7 @@ func runRemoteOp(s *Scenario, kind opKind, at float64, key uint64, g *gauges) {
 				break
 			}
 		}
-		_, err = g.rem.Op(RemoteWave, 0, k)
+		_, err = g.rem.Op(wire.OpWave, 0, uint64(k))
 	}
 	if err != nil {
 		// A shed is the server's overload control doing its job — count it

@@ -197,9 +197,6 @@ func (c *Client) SetTrace(col *obs.Collector, node int) {
 	c.tnode = node
 }
 
-// Tracing reports whether SetTrace armed a collector.
-func (c *Client) Tracing() bool { return c.col != nil }
-
 // Stages returns the cumulative per-stage sums over this connection's
 // traced frames (zero until SetTrace arms tracing). Implements
 // load.StageSource, so RunRemote reports the per-run delta.
@@ -654,25 +651,9 @@ func (c *Client) readLoop() {
 
 // Op implements load.Remote: the workload harness's generators drive the
 // wire path through this adapter with their scheduling and latency
-// accounting unchanged.
-func (c *Client) Op(kind load.RemoteOp, key uint64, k int) (uint64, error) {
-	switch kind {
-	case load.RemoteRename:
-		return c.Do(wire.OpRename, key)
-	case load.RemoteInc:
-		return c.Do(wire.OpInc, key)
-	case load.RemoteRead:
-		return c.Do(wire.OpRead, key)
-	case load.RemoteWave:
-		return c.Do(wire.OpWave, uint64(k))
-	case load.RemotePhasedInc:
-		return c.Do(wire.OpPhasedInc, 0)
-	case load.RemotePhasedRead:
-		return c.Do(wire.OpPhasedRead, 0)
-	case load.RemotePhasedReadStrict:
-		return c.Do(wire.OpPhasedReadStrict, 0)
-	}
-	return 0, fmt.Errorf("netserve: unknown remote op %d", kind)
+// accounting unchanged. One server owns every key, so key is unused.
+func (c *Client) Op(code wire.OpCode, _, arg uint64) (uint64, error) {
+	return c.Do(code, arg)
 }
 
 var (

@@ -1,14 +1,9 @@
 package netserve
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/phase"
@@ -16,176 +11,11 @@ import (
 	"repro/internal/wire"
 )
 
-// The observability surface rides the serving listener: a connection whose
-// first bytes spell an HTTP method is routed here instead of the wire
-// protocol, so one port serves traffic, metrics, traces, and profiles.
-//
-//	GET /metrics            Prometheus-style text gauges (plus runtime stats)
-//	GET /trace              recent spans + slow-op exemplars as JSON lines
-//	GET /debug/pprof/...    heap / goroutine / allocs dumps, ?seconds= CPU profile
-//
-// Only GET is served; any other method gets a 405 without touching the
-// dumps. The request head is drained under a hard byte cap before
-// responding — a peer cannot make the server buffer an unbounded header
-// section — and oversized heads get a 431 and a close.
-
-// maxRequestHead caps the total bytes of request line + headers a metrics
-// connection may send; past it the server answers 431 and hangs up.
-const maxRequestHead = 8 << 10
-
-// httpDeadline bounds both the head read and the response write.
-const httpDeadline = 5 * time.Second
-
-// httpMethods are the sniffable first-four-byte method prefixes. "GET "
-// routes; the rest exist so a non-GET speaker gets a clean 405 instead of
-// a wire-protocol error frame.
-var httpMethods = [...]string{"GET ", "HEAD", "POST", "PUT ", "DELE", "OPTI", "PATC", "TRAC", "CONN"}
-
-// sniffHTTP reports whether head opens an HTTP request (and whether it is
-// a GET).
-func sniffHTTP(head []byte) (isHTTP, isGet bool) {
-	h := string(head)
-	for _, m := range httpMethods {
-		if h == m {
-			return true, m == "GET "
-		}
-	}
-	return false, false
-}
-
-// readRequestHead consumes the request line and headers from r under the
-// maxRequestHead cap, returning the request path ("" when the head was
-// malformed, err when it exceeded the cap). ReadSlice returns views into
-// the bufio buffer, so the drain allocates only the path string it keeps.
-func readRequestHead(r *bufio.Reader) (path string, err error) {
-	total := 0
-	first := true
-	for {
-		line, err := r.ReadSlice('\n')
-		total += len(line)
-		if total > maxRequestHead {
-			return "", fmt.Errorf("request head exceeds %d bytes", maxRequestHead)
-		}
-		if err == bufio.ErrBufferFull {
-			// An over-long line: keep draining it in buffer-sized chunks,
-			// counting toward the same cap.
-			continue
-		}
-		if err != nil {
-			return path, nil // EOF/timeouts mid-head: serve what we parsed
-		}
-		if first {
-			// "GET /path HTTP/1.1\r\n" — the path is the second token.
-			fields := strings.Fields(string(line))
-			if len(fields) >= 2 {
-				path = fields[1]
-			}
-			first = false
-			continue
-		}
-		if len(line) <= 2 { // "\r\n" or "\n": end of headers
-			return path, nil
-		}
-	}
-}
-
-// serveHTTP answers one HTTP-speaking connection: bounded head drain,
-// method check, then the path router.
-func (s *Server) serveHTTP(conn net.Conn, r *bufio.Reader, isGet bool) {
-	conn.SetReadDeadline(time.Now().Add(httpDeadline))
-	path, err := readRequestHead(r)
-	conn.SetWriteDeadline(time.Now().Add(httpDeadline))
-	switch {
-	case err != nil:
-		httpError(conn, 431, "431 Request Header Fields Too Large", "request head too large\n")
-		return
-	case !isGet:
-		// RFC 9110: 405 must name what is allowed.
-		fmt.Fprintf(conn, "HTTP/1.0 405 Method Not Allowed\r\nAllow: GET\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 16\r\n\r\nonly GET served\n")
-		return
-	}
-
-	// Strip the query for routing; pprof still reads it.
-	route := path
-	if i := strings.IndexByte(route, '?'); i >= 0 {
-		route = route[:i]
-	}
-	switch {
-	case route == "/metrics" || route == "/" || route == "":
-		var b strings.Builder
-		s.writeMetrics(&b)
-		httpText(conn, b.String())
-	case route == "/trace":
-		var b strings.Builder
-		s.col.WriteTrace(&b, OpName)
-		httpText(conn, b.String())
-	case strings.HasPrefix(route, "/debug/pprof/"):
-		s.servePprof(conn, route, path)
-	default:
-		httpError(conn, 404, "404 Not Found", "unknown path; try /metrics, /trace, /debug/pprof/{heap,goroutine,allocs,profile}\n")
-	}
-}
-
-func httpText(conn net.Conn, body string) {
-	fmt.Fprintf(conn, "HTTP/1.0 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
-}
-
-func httpError(conn net.Conn, code int, status, body string) {
-	fmt.Fprintf(conn, "HTTP/1.0 %d %s\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: %d\r\n\r\n%s",
-		code, status[4:], len(body), body)
-}
-
-// servePprof serves the profile endpoints off runtime/pprof directly (the
-// listener speaks raw TCP, not net/http, so net/http/pprof cannot mount
-// here). The named profiles stream close-delimited — profile sizes are
-// unknown up front.
-func (s *Server) servePprof(conn net.Conn, route, fullPath string) {
-	name := strings.TrimPrefix(route, "/debug/pprof/")
-	if name == "profile" {
-		// CPU profile: sample for ?seconds= (default 1, capped well below
-		// the write deadline's reach since the conn deadline is reset after).
-		secs := 1
-		if i := strings.Index(fullPath, "seconds="); i >= 0 {
-			tail := fullPath[i+len("seconds="):]
-			if j := strings.IndexAny(tail, "&# "); j >= 0 {
-				tail = tail[:j]
-			}
-			if v, err := strconv.Atoi(tail); err == nil && v > 0 {
-				secs = v
-			}
-		}
-		if secs > 30 {
-			secs = 30
-		}
-		fmt.Fprintf(conn, "HTTP/1.0 200 OK\r\nContent-Type: application/octet-stream\r\n\r\n")
-		if err := pprof.StartCPUProfile(conn); err != nil {
-			// A concurrent profile is already running; nothing to stream.
-			return
-		}
-		time.Sleep(time.Duration(secs) * time.Second)
-		conn.SetWriteDeadline(time.Now().Add(httpDeadline))
-		pprof.StopCPUProfile()
-		return
-	}
-	p := pprof.Lookup(name)
-	if p == nil {
-		httpError(conn, 404, "404 Not Found", "unknown profile; try heap, goroutine, allocs, block, mutex, threadcreate, or profile?seconds=N\n")
-		return
-	}
-	debug := 0
-	if name == "goroutine" {
-		debug = 1 // readable stacks; the binary form is for pprof -http
-	}
-	if strings.Contains(fullPath, "debug=") {
-		if i := strings.Index(fullPath, "debug="); i >= 0 {
-			if v, err := strconv.Atoi(strings.TrimFunc(fullPath[i+6:], func(r rune) bool { return r < '0' || r > '9' })); err == nil {
-				debug = v
-			}
-		}
-	}
-	fmt.Fprintf(conn, "HTTP/1.0 200 OK\r\nContent-Type: application/octet-stream\r\n\r\n")
-	p.WriteTo(conn, debug)
-}
+// A serving node's observability data: MetricsText (Prometheus-style
+// gauges, counters and op-latency histograms, plus runtime stats) and
+// TraceText (recent spans and slow-op exemplars as JSON lines). netserve
+// speaks only the wire protocol; cmd/renameserve serves both dumps over
+// HTTP on its wire port, and embedders serve or log them as they choose.
 
 var opLabels = [8]string{"", "rename", "inc", "read", "wave", "phased_inc", "phased_read", "phased_read_strict"}
 
@@ -194,8 +24,11 @@ var opLabels = [8]string{"", "rename", "inc", "read", "wave", "phased_inc", "pha
 // trace dumps.
 func OpName(code uint8) string { return opLabels[code&7] }
 
-// writeMetrics formats the full dump (shared by the GET handler and tests).
-func (s *Server) writeMetrics(b *strings.Builder) {
+// MetricsText returns the metrics dump. conns_open and
+// conns_accepted_total count wire connections only: HTTP scrapes are
+// served outside netserve.
+func (s *Server) MetricsText() string {
+	b := new(strings.Builder)
 	// Snapshot the merged shards. The sessions' private deltas since their
 	// last fold are invisible here — a scrape is a monitoring sample, not
 	// a linearizable snapshot (same contract as Pool.InFlight).
@@ -304,6 +137,7 @@ func (s *Server) writeMetrics(b *strings.Builder) {
 	fmt.Fprintf(b, "go_heap_objects %d\n", ms.HeapObjects)
 
 	fmt.Fprintf(b, "wire_max_ops_per_frame %d\n", wire.MaxOps)
+	return b.String()
 }
 
 func writePool(b *strings.Builder, name string, st serve.Stats) {
@@ -315,15 +149,8 @@ func writePool(b *strings.Builder, name string, st serve.Stats) {
 	fmt.Fprintf(b, "%s_pool_retries_total %d\n", name, st.Retries)
 }
 
-// MetricsText returns the metrics dump as a string (tests and embedders;
-// the network surface is a GET on the serving listener).
-func (s *Server) MetricsText() string {
-	var b strings.Builder
-	s.writeMetrics(&b)
-	return b.String()
-}
-
-// TraceText returns the /trace dump as a string (tests and embedders).
+// TraceText returns the trace dump: recent spans and slowest-op exemplars
+// as JSON lines, closed by a "summary" line.
 func (s *Server) TraceText() string {
 	var b strings.Builder
 	s.col.WriteTrace(&b, OpName)

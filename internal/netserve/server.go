@@ -23,9 +23,10 @@
 //     pipelining client's n in-flight batches cost ~one write syscall per
 //     drain, not one per frame.
 //
-// A connection whose first bytes are "GET " is served a plain-text metrics
-// dump instead (metrics.go) — the first slice of the observability surface,
-// fed allocation-free from the pools' existing gauges.
+// The server speaks only the wire protocol. Its observability data —
+// MetricsText and TraceText (metrics.go), fed from the pools' existing
+// gauges and the span collector — is served over HTTP by cmd/renameserve,
+// which splits one port between the two protocols.
 package netserve
 
 import (
@@ -139,7 +140,7 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // Target returns the served pools.
 func (s *Server) Target() *load.Target { return s.tg }
 
-// Tracer returns the server's span collector — /trace reads it, and tests
+// Tracer returns the server's span collector — TraceText reads it, and tests
 // assert chains through it. The server never originates traces: it records
 // spans for batches the client marked sampled, so the collector needs no
 // arming here.
@@ -234,17 +235,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
 	r := bufio.NewReaderSize(conn, 128<<10)
-
-	// An HTTP client: route to the observability surface (metrics, traces,
-	// profiles) and close. Non-GET methods are sniffed too, so they get a
-	// clean 405 instead of a wire-protocol error frame.
-	if head, err := r.Peek(4); err == nil {
-		if isHTTP, isGet := sniffHTTP(head); isHTTP {
-			s.serveHTTP(conn, r, isGet)
-			return
-		}
-	}
-
 	w := bufio.NewWriterSize(conn, 128<<10)
 	ss := s.newSession()
 	defer ss.fold()

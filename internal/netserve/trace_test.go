@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"regexp"
 	"strings"
@@ -166,84 +165,16 @@ func TestNodeAttribution(t *testing.T) {
 	}
 }
 
-// httpGet speaks minimal HTTP/1.0 to the serving listener and returns
-// (status line, body).
-func httpGet(t *testing.T, addr, request string) (string, string) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.WriteString(conn, request); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	raw, err := io.ReadAll(conn)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	head, body, _ := strings.Cut(string(raw), "\r\n\r\n")
-	status, _, _ := strings.Cut(head, "\r\n")
-	return status, body
-}
-
-// TestHTTPRouter pins the observability surface's routing and the
-// satellite fixes: non-GET gets 405, unknown paths get 404, oversized
-// request heads get 431 and a bounded read, /metrics and /trace serve.
-func TestHTTPRouter(t *testing.T) {
-	srv := newTestServer(t)
-	addr := srv.Addr().String()
-
-	status, body := httpGet(t, addr, "GET /metrics HTTP/1.0\r\n\r\n")
-	if !strings.Contains(status, "200") || !strings.Contains(body, "netserve_frames_total") {
-		t.Fatalf("GET /metrics: %s\n%s", status, body)
-	}
-	if !strings.Contains(body, "go_goroutines") || !strings.Contains(body, "go_heap_alloc_bytes") {
-		t.Fatalf("runtime gauges missing from /metrics:\n%s", body)
-	}
-
-	status, _ = httpGet(t, addr, "POST /metrics HTTP/1.0\r\nContent-Length: 0\r\n\r\n")
-	if !strings.Contains(status, "405") {
-		t.Fatalf("POST answered %q, want 405", status)
-	}
-
-	status, _ = httpGet(t, addr, "GET /nope HTTP/1.0\r\n\r\n")
-	if !strings.Contains(status, "404") {
-		t.Fatalf("GET /nope answered %q, want 404", status)
-	}
-
-	// Oversized head: far past maxRequestHead, must come back 431 (not a
-	// hang, not an unbounded buffer).
-	var big strings.Builder
-	big.WriteString("GET /metrics HTTP/1.0\r\n")
-	for i := 0; big.Len() < maxRequestHead+1024; i++ {
-		fmt.Fprintf(&big, "X-Pad-%d: %s\r\n", i, strings.Repeat("a", 120))
-	}
-	big.WriteString("\r\n")
-	status, _ = httpGet(t, addr, big.String())
-	if !strings.Contains(status, "431") {
-		t.Fatalf("oversized head answered %q, want 431", status)
-	}
-
-	status, body = httpGet(t, addr, "GET /trace HTTP/1.0\r\n\r\n")
-	if !strings.Contains(status, "200") {
-		t.Fatalf("GET /trace: %s", status)
-	}
-	if !strings.Contains(body, `"kind":"summary"`) {
-		t.Fatalf("/trace missing summary line:\n%s", body)
-	}
-}
-
-// TestTraceEndpointServesSpans drives a sampled batch over the wire and
-// asserts /trace then carries its spans as parseable JSON lines.
+// TestTraceEndpointServesSpans drives a sampled batch through the serve
+// path and asserts the /trace dump then carries its spans as parseable
+// JSON lines.
 func TestTraceEndpointServesSpans(t *testing.T) {
 	srv := newTestServer(t)
 	ss := srv.newSession()
 	const trace = uint64(1<<63 | 2048)
 	ss.out = ss.serveFrame(tracedFrame(trace, []wire.Op{{Code: wire.OpRename, Arg: 3}}), ss.out[:0])
 
-	_, body := httpGet(t, srv.Addr().String(), "GET /trace HTTP/1.0\r\n\r\n")
+	body := srv.TraceText()
 	sc := bufio.NewScanner(strings.NewReader(body))
 	found := false
 	for sc.Scan() {
@@ -257,23 +188,6 @@ func TestTraceEndpointServesSpans(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("rename op span for trace %016x not on /trace:\n%s", trace, body)
-	}
-}
-
-// TestPprofEndpoints pins the profile surface: heap and goroutine dumps
-// serve 200 with bodies, unknown profiles 404.
-func TestPprofEndpoints(t *testing.T) {
-	srv := newTestServer(t)
-	addr := srv.Addr().String()
-	for _, p := range []string{"heap", "goroutine", "allocs"} {
-		status, body := httpGet(t, addr, "GET /debug/pprof/"+p+" HTTP/1.0\r\n\r\n")
-		if !strings.Contains(status, "200") || len(body) == 0 {
-			t.Fatalf("pprof %s: %s (%d body bytes)", p, status, len(body))
-		}
-	}
-	status, _ := httpGet(t, addr, "GET /debug/pprof/bogus HTTP/1.0\r\n\r\n")
-	if !strings.Contains(status, "404") {
-		t.Fatalf("bogus profile answered %q, want 404", status)
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 
 type (
 	// WireServer serves the wire protocol over one listener, mapping each
-	// connection onto a LoadTarget's pools; a "GET " connection gets a
-	// plain-text metrics dump instead.
+	// connection onto a LoadTarget's pools. It speaks no HTTP: MetricsText
+	// and TraceText return its observability dumps, which cmd/renameserve
+	// serves over HTTP.
 	WireServer = netserve.Server
 	// WireClient is the pipelining wire client: group-committed Do calls
 	// and explicit WireBatches, many in flight per connection, correlated
@@ -36,7 +37,9 @@ type (
 	// WireDroppedError reports a dropped connection's in-flight tail.
 	WireDroppedError = netserve.DroppedError
 	// RemoteTransport executes single operations against a remote serving
-	// tier; WireClient implements it (RunScenarioRemote drives it).
+	// tier: Op takes a WireOp, a routing key and the op's wire argument.
+	// WireClient and ClusterClient implement it (RunScenarioRemote drives
+	// it).
 	RemoteTransport = load.Remote
 )
 
@@ -51,8 +54,9 @@ const (
 	WirePhasedReadStrict = wire.OpPhasedReadStrict
 )
 
-// ListenWire listens on addr (TCP) and serves the wire protocol against
-// tg's pools (nil builds a fresh NewLoadTarget(1)).
+// ListenWire listens on addr (TCP) and serves the wire protocol, and only
+// the wire protocol, against tg's pools (nil builds a fresh
+// NewLoadTarget(1)).
 func ListenWire(addr string, tg *LoadTarget) (*WireServer, error) {
 	return netserve.ListenAndServe(addr, tg)
 }

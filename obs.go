@@ -13,11 +13,11 @@ import (
 // every reply echoes the server's stage decomposition (LoadStages — the
 // report's per-stage breakdown), and sampled ids record spans at every
 // hop: the client round trip, each cluster sub-batch, the server frame,
-// each admission wait, and each shard op. Servers expose their side on
-// the metrics listener as /trace (recent spans and slowest-op exemplars
-// as JSON lines) next to /metrics and /debug/pprof; cmd/renameload
-// -trace N prints the N slowest client-side chains. See doc.go
-// ("Tracing") for the model.
+// each admission wait, and each shard op. Servers expose their side
+// through WireServer.TraceText (recent spans and slowest-op exemplars as
+// JSON lines), which cmd/renameserve serves as /trace next to /metrics
+// and /debug/pprof; cmd/renameload -trace N prints the N slowest
+// client-side chains. See doc.go ("Tracing") for the model.
 
 type (
 	// TraceCollector collects fixed-size spans into per-shard ring
