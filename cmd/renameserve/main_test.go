@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,47 +16,53 @@ import (
 	"repro/internal/wire"
 )
 
-// TestOnePortServesWireAndHTTP runs the port splitter, the wire server and
-// the HTTP mux on one listener: wire ops and every HTTP route answer on the
-// same address, scrapes never reach the wire server, an oversized request
-// head is refused, and closing the wire server ends the HTTP server.
-func TestOnePortServesWireAndHTTP(t *testing.T) {
+// startSurface runs the port splitter, the wire server and the HTTP mux on
+// one 127.0.0.1:0 listener, as main does. stop closes the wire server,
+// which closes the shared port, and returns what the HTTP server's Serve
+// returned, or an error if either server is still up after 5s; the test's
+// cleanup calls it too.
+func startSurface(t *testing.T) (addr string, stop func() error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	srv, served := serve(ln, renaming.NewLoadTarget(1), renaming.WireOptions{NodeID: -1})
-	addr := ln.Addr().String()
-
-	c, err := netserve.Dial(addr, time.Second)
-	if err != nil {
-		t.Fatalf("dial wire: %v", err)
-	}
-	for _, op := range []wire.OpCode{wire.OpRename, wire.OpInc, wire.OpRead, wire.OpPhasedInc} {
-		if _, err := c.Do(op, 7); err != nil {
-			t.Fatalf("wire op %d on the shared port: %v", op, err)
+	stop = sync.OnceValue(func() error {
+		closed := make(chan struct{})
+		go func() { srv.Close(); close(closed) }()
+		timeout := time.After(5 * time.Second)
+		var err error
+		select {
+		case err = <-served:
+		case <-timeout:
+			return errors.New("the HTTP server still serves 5s after the wire server closed")
 		}
-	}
+		select {
+		case <-closed:
+			return err
+		case <-timeout:
+			return errors.New("the wire server's Close has not returned after 5s")
+		}
+	})
+	t.Cleanup(func() { stop() })
+	return ln.Addr().String(), stop
+}
 
+// route is one HTTP request against the surface and what it must answer.
+type route struct {
+	method, path string
+	status       int
+	body         []string
+}
+
+// checkRoutes sends each request on its own connection and checks the
+// status and that the body carries every wanted string; a 200 GET must
+// have a body.
+func checkRoutes(t *testing.T, addr string, routes []route) {
+	t.Helper()
 	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 10 * time.Second}
-	for _, tc := range []struct {
-		method, path string
-		status       int
-		body         []string
-	}{
-		// The one wire connection above is the only one the wire server
-		// has accepted: scrapes are routed to net/http before it.
-		{"GET", "/metrics", 200, []string{"netserve_frames_total", "go_goroutines", "go_heap_alloc_bytes", "netserve_conns_accepted_total 1\n"}},
-		{"GET", "/", 200, []string{"netserve_frames_total"}},
-		{"HEAD", "/metrics", 200, nil},
-		{"GET", "/trace", 200, []string{`"kind":"summary"`}},
-		{"POST", "/metrics", 405, nil},
-		{"GET", "/nope", 404, nil},
-		{"GET", "/debug/pprof/heap", 200, nil},
-		{"GET", "/debug/pprof/goroutine", 200, nil},
-		{"GET", "/debug/pprof/allocs", 200, nil},
-		{"GET", "/debug/pprof/bogus", 404, nil},
-	} {
+	for _, tc := range routes {
 		req, err := http.NewRequest(tc.method, "http://"+addr+tc.path, nil)
 		if err != nil {
 			t.Fatalf("request: %v", err)
@@ -82,6 +89,21 @@ func TestOnePortServesWireAndHTTP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHTTPRouter pins the observability surface's routing: /metrics (and
+// /) and /trace serve their dumps, HEAD is answered like GET, other
+// methods get 405, unknown paths 404, and an oversized request head 431.
+func TestHTTPRouter(t *testing.T) {
+	addr, _ := startSurface(t)
+	checkRoutes(t, addr, []route{
+		{"GET", "/metrics", 200, []string{"netserve_frames_total", "go_goroutines", "go_heap_alloc_bytes"}},
+		{"GET", "/", 200, []string{"netserve_frames_total"}},
+		{"HEAD", "/metrics", 200, nil},
+		{"GET", "/trace", 200, []string{`"kind":"summary"`}},
+		{"POST", "/metrics", 405, nil},
+		{"GET", "/nope", 404, nil},
+	})
 
 	// An oversized request head: net/http reads MaxHeaderBytes plus 4 KiB
 	// of slack, so 64 KiB is well past the cap. The server stops reading
@@ -90,6 +112,7 @@ func TestOnePortServesWireAndHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
+	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	wrote := make(chan struct{})
 	go func() {
@@ -110,15 +133,48 @@ func TestOnePortServesWireAndHTTP(t *testing.T) {
 	}
 	conn.Close()
 	<-wrote
+}
+
+// TestPprofEndpoints pins the profile surface: heap, goroutine and allocs
+// dumps serve 200 with bodies, unknown profiles 404.
+func TestPprofEndpoints(t *testing.T) {
+	addr, _ := startSurface(t)
+	checkRoutes(t, addr, []route{
+		{"GET", "/debug/pprof/heap", 200, nil},
+		{"GET", "/debug/pprof/goroutine", 200, nil},
+		{"GET", "/debug/pprof/allocs", 200, nil},
+		{"GET", "/debug/pprof/bogus", 404, nil},
+	})
+}
+
+// TestOnePortServesWireAndHTTP runs wire ops and a scrape on the same
+// address: the ops succeed, the scrape never reaches the wire server, and
+// closing the wire server ends the HTTP server.
+func TestOnePortServesWireAndHTTP(t *testing.T) {
+	addr, stop := startSurface(t)
+
+	c, err := netserve.Dial(addr, time.Second)
+	if err != nil {
+		t.Fatalf("dial wire: %v", err)
+	}
+	defer c.Close()
+	for _, op := range []wire.OpCode{wire.OpRename, wire.OpInc, wire.OpRead, wire.OpPhasedInc} {
+		if _, err := c.Do(op, 7); err != nil {
+			t.Fatalf("wire op %d on the shared port: %v", op, err)
+		}
+	}
+
+	// The one wire connection above is the only one the wire server has
+	// accepted: scrapes are routed to net/http before it.
+	checkRoutes(t, addr, []route{
+		{"GET", "/metrics", 200, []string{"netserve_conns_accepted_total 1\n"}},
+	})
+	if _, err := c.Do(wire.OpRead, 7); err != nil {
+		t.Fatalf("wire op after a scrape: %v", err)
+	}
 
 	c.Close()
-	srv.Close()
-	select {
-	case err := <-served:
-		if !errors.Is(err, net.ErrClosed) {
-			t.Fatalf("Serve returned %v, want net.ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the HTTP server still serves 5s after the wire server closed")
+	if err := stop(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve returned %v, want net.ErrClosed", err)
 	}
 }
