@@ -8,6 +8,15 @@
 // width along a spine, giving O(log v) cost where v is the largest value
 // involved. The paper's monotone-consistent counter (Section 8.1) writes
 // renaming-network names into an unbounded max register.
+//
+// Layout: the bottom levels of every bounded tree are flat. A subtree of
+// width at most 64 keeps all its switch registers in one arena, in order,
+// and the wider nodes above it are allocated lazily, so a sparse value
+// touches only its own path. A dense run of new values, such as a
+// counter's sums, costs about one register per value: 8 B on one P, 64 B
+// when the native runtime pads its registers. The layout moves no step:
+// every operation reads and writes the same switches, in the same order,
+// as a tree of one heap node per switch would.
 package maxreg
 
 import (
@@ -26,22 +35,37 @@ type MaxReg interface {
 	ReadMax(p shmem.Proc) uint64
 }
 
+// flatWidth is the widest Bounded whose switch registers all live in one
+// arena (see Bounded).
+const flatWidth = 64
+
 // Bounded is the AAC tree max register over values [0, m).
 //
 // Structure: a switch bit splits the range in half; the left subtree holds
 // the low half, the right subtree the high half. A high write fills the
 // right subtree before flipping the switch, so any reader directed right
-// finds a complete value. Children are allocated lazily (allocation is
-// bookkeeping outside the step-counted model).
+// finds a complete value.
+//
+// Layout: a tree of width m ≤ flatWidth keeps all m−1 of its switches in
+// one register arena, in order: the node that splits [lo, hi) at
+// mid = lo + (hi−lo+1)/2 owns register mid−1, which fits the halving rule
+// at any width. A wider tree keeps only its root switch and allocates its
+// two children lazily, down to flat subtrees, so sparse values touch only
+// their own paths. A dense run of new values thus costs about one register
+// each (8 B on one P, 64 B when the runtime pads its registers) plus a
+// share of the flat tree and the nodes above it. Allocation is bookkeeping
+// outside the step-counted model.
 type Bounded struct {
-	mem  shmem.Mem
-	m    uint64
-	high shmem.FastReg
+	mem shmem.Mem
+	m   uint64
 
-	// Children are allocated lazily (bookkeeping outside the step-counted
-	// model). The pair is published through an atomic pointer so the hot
-	// read/write paths take no lock; the mutex only serializes the one-time
-	// allocation.
+	// sw is a flat tree's switch arena (nil when m = 1).
+	sw shmem.RegArena
+
+	// high is a wide tree's root switch. Its children are published
+	// through an atomic pointer so the hot read/write paths take no lock;
+	// the mutex only serializes the one-time allocation.
+	high shmem.FastReg
 	mu   sync.Mutex
 	kids atomic.Pointer[boundedKids]
 }
@@ -58,8 +82,11 @@ func NewBounded(mem shmem.Mem, m uint64) *Bounded {
 		panic("maxreg: capacity must be at least 1")
 	}
 	b := &Bounded{mem: mem, m: m}
-	if m > 1 {
+	switch {
+	case m > flatWidth:
 		b.high = shmem.Fast(mem.NewReg(0))
+	case m > 1:
+		b.sw = shmem.NewRegs(mem, int(m-1))
 	}
 	return b
 }
@@ -71,7 +98,10 @@ func (b *Bounded) half() uint64 { return (b.m + 1) / 2 }
 // lazily allocated tree so the next execution runs allocation-free.
 // Between executions only.
 func (b *Bounded) Reset() {
-	if b.m == 1 {
+	if b.m <= flatWidth {
+		if b.sw != nil {
+			b.sw.Reset()
+		}
 		return
 	}
 	b.high.Restore(0)
@@ -103,8 +133,9 @@ func (b *Bounded) WriteMax(p shmem.Proc, v uint64) {
 	if v >= b.m {
 		panic("maxreg: value out of range")
 	}
-	if b.m == 1 {
-		return // only value 0: nothing to record
+	if b.m <= flatWidth {
+		b.writeFlat(p, 0, b.m, v)
+		return
 	}
 	left, right := b.children()
 	if v < b.half() {
@@ -117,10 +148,38 @@ func (b *Bounded) WriteMax(p shmem.Proc, v uint64) {
 	b.high.Write(p, 1)
 }
 
+// writeFlat is WriteMax on the flat subtree over [lo, hi), lo ≤ v < hi.
+// A step right recurses because its switch may be set only once the right
+// subtree holds v.
+func (b *Bounded) writeFlat(p shmem.Proc, lo, hi, v uint64) {
+	for hi-lo > 1 {
+		mid := lo + (hi-lo+1)/2
+		sw := shmem.FastAt(b.sw, int(mid-1))
+		if v >= mid {
+			b.writeFlat(p, mid, hi, v)
+			sw.Write(p, 1)
+			return
+		}
+		if sw.Read(p) != 0 {
+			return
+		}
+		hi = mid
+	}
+}
+
 // ReadMax returns the current maximum. Cost: O(log m) steps.
 func (b *Bounded) ReadMax(p shmem.Proc) uint64 {
-	if b.m == 1 {
-		return 0
+	if b.m <= flatWidth {
+		lo, hi := uint64(0), b.m
+		for hi-lo > 1 {
+			mid := lo + (hi-lo+1)/2
+			if shmem.FastAt(b.sw, int(mid-1)).Read(p) == 1 {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		return lo
 	}
 	left, right := b.children()
 	if b.high.Read(p) == 1 {

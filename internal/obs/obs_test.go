@@ -154,14 +154,23 @@ func TestExemplarsKeepSlowest(t *testing.T) {
 
 func TestRingOverwriteDropsOldest(t *testing.T) {
 	c := newTestCollector(t, 1)
-	// Overfill one ring without folding: the folder must recover, keeping
-	// the newest window and accounting only what it saw.
+	// Stop the background folder first so nothing drains the ring while it
+	// overfills; Record and Fold stay valid after Close.
+	c.Close()
+	// Overfill one ring without folding: the fold must keep exactly the
+	// newest ringLen spans and account only those.
 	for i := 0; i < 3*ringLen; i++ {
 		c.Record(Span{Trace: uint64(i + 1), Start: int64(i), Dur: 1, Kind: KindOp, Attr: PackOp(1, 0, 0, 0)})
 	}
 	c.Fold()
-	if got := c.Folded(); got == 0 || got > ringLen {
-		t.Fatalf("Folded = %d, want (0, %d]", got, ringLen)
+	if got := c.Folded(); got != ringLen {
+		t.Fatalf("Folded = %d, want %d", got, ringLen)
+	}
+	if got := c.Chain(nil, 2*ringLen); len(got) != 0 {
+		t.Fatalf("overwritten span %d still folded: %v", 2*ringLen, got)
+	}
+	if got := c.Chain(nil, 2*ringLen+1); len(got) != 1 {
+		t.Fatalf("oldest kept span %d folded %d times, want once", 2*ringLen+1, len(got))
 	}
 }
 
