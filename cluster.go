@@ -29,10 +29,6 @@ type (
 	// per ring node; rename replies come back offset into the owning
 	// node's range (cluster-wide names).
 	ClusterClient = cluster.Client
-	// ClusterBatch is a scatter-gather batch: ops scatter to per-node
-	// sub-batches as they are added, fan out concurrently on Send, and
-	// gather in caller order on Wait; a dead node fails only its own ops.
-	ClusterBatch = cluster.Batch
 	// ClusterNodeError scopes a cluster failure to one node (which node,
 	// which name range), wrapping the underlying wire error.
 	ClusterNodeError = cluster.NodeError
@@ -55,12 +51,8 @@ func NewClusterRing(addrs []string, span uint64) (*ClusterRing, error) {
 	return cluster.New(addrs, span)
 }
 
-// ParseClusterRing reads a ring from its text form ("id addr base span"
-// per line, '#' comments).
-func ParseClusterRing(text string) (*ClusterRing, error) { return cluster.Parse(text) }
-
-// LoadClusterRing reads a ring file (the ParseClusterRing format —
-// renameserve -ring and renameload -ring consume the same file).
+// LoadClusterRing reads a ring file ("id addr base span" per line, '#'
+// comments — renameserve -ring and renameload -ring consume the same file).
 func LoadClusterRing(path string) (*ClusterRing, error) { return cluster.Load(path) }
 
 // DialCluster connects to every node of the ring, retrying each with
@@ -68,12 +60,6 @@ func LoadClusterRing(path string) (*ClusterRing, error) { return cluster.Load(pa
 // a *ClusterNodeError naming the node and its name range.
 func DialCluster(ring *ClusterRing, wait time.Duration) (*ClusterClient, error) {
 	return cluster.Dial(ring, wait)
-}
-
-// ListenWireOpts is ListenWire with explicit WireOptions (admission
-// control) — the per-node server constructor of a cluster deployment.
-func ListenWireOpts(addr string, tg *LoadTarget, opts WireOptions) (*WireServer, error) {
-	return netserve.ListenAndServeOpts(addr, tg, opts)
 }
 
 // RunScenarioCluster dials every node of the ring, executes the scenario

@@ -131,9 +131,10 @@
 // Replay re-executes it bit-identically on the simulator: same names, same
 // per-process operation counts, same crash sets. CheckRenamingTrace and
 // CheckCounterTrace run the paper's validity conditions over a recorded
-// log from either runtime. Pooled instances expose the same layer through
-// Instance.Exec, so chaos testing runs against checked-out serving
-// instances too; cmd/renametrace -native and examples/chaos drive it.
+// log from either runtime. An instance checked out with Pool.Get exposes
+// the same layer through its Exec method, so chaos testing runs against
+// checked-out serving instances too; cmd/renametrace -native and
+// examples/chaos drive it.
 //
 // # Load generation
 //

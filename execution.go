@@ -2,7 +2,6 @@ package renaming
 
 import (
 	"repro/internal/exec"
-	"repro/internal/shmem"
 	"repro/internal/sim"
 	"time"
 )
@@ -21,19 +20,10 @@ type (
 	// stall windows, and dynamic pausing, armed via Execution.Faults on
 	// either runtime.
 	FaultPlan = exec.FaultPlan
-	// Stall is one stall window of a FaultPlan.
-	Stall = exec.Stall
 	// EventLog is the trace of one recorded execution: scheduling decisions
 	// in a global total order with per-process sequence numbers, plus
 	// operation-level marks.
 	EventLog = exec.EventLog
-	// ExecEvent is one recorded trace entry.
-	ExecEvent = exec.Event
-	// StepHook is the native runtime's step-path hook interface; the
-	// execution layer provides the implementations (fault injection,
-	// recording). Hook dispatch is type-based: armed executions run behind
-	// a wrapping proc type, so the disarmed step path is unchanged.
-	StepHook = shmem.StepHook
 )
 
 // Event kinds and mark tags of recorded traces.

@@ -25,9 +25,6 @@ type Config struct {
 	Fresh bool
 }
 
-// DefaultConfig is the full-size sweep used for the published tables.
-var DefaultConfig = Config{Seeds: 10}
-
 // sweep drives one parameter point of an experiment on the compile-once /
 // instantiate-once / reset-many path: a single simulator runtime and a
 // single instantiated object graph serve every seed, reset between

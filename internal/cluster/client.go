@@ -80,14 +80,6 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// SetMaxBatch caps the group-committed frame size on every node connection
-// (see netserve.Client.SetMaxBatch).
-func (c *Client) SetMaxBatch(n int) {
-	for _, cc := range c.conns {
-		cc.SetMaxBatch(n)
-	}
-}
-
 // SetOpDeadline propagates a per-frame processing budget to every node
 // connection's group-committed frames (see netserve.Client.SetOpDeadline);
 // with server-side admission control armed, the budget also bounds how
@@ -244,18 +236,6 @@ func (b *Batch) Read(key uint64) *Batch { return b.Add(wire.OpRead, key, key) }
 
 // Wave appends a k-process execution wave on the node owning key.
 func (b *Batch) Wave(key uint64, k int) *Batch { return b.Add(wire.OpWave, key, uint64(k)) }
-
-// PhasedInc increments the phased counter of the node owning key (each
-// node owns an independent counter; a cluster-wide total is the sum over
-// nodes, which callers aggregate).
-func (b *Batch) PhasedInc(key uint64) *Batch { return b.Add(wire.OpPhasedInc, key, 0) }
-
-// PhasedRead reads the phased counter of the node owning key (fast path).
-func (b *Batch) PhasedRead(key uint64) *Batch { return b.Add(wire.OpPhasedRead, key, 0) }
-
-// PhasedReadStrict reads the phased counter of the node owning key with
-// reconciliation.
-func (b *Batch) PhasedReadStrict(key uint64) *Batch { return b.Add(wire.OpPhasedReadStrict, key, 0) }
 
 // Len returns the number of ops in the batch.
 func (b *Batch) Len() int { return len(b.order) }

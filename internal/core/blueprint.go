@@ -63,9 +63,6 @@ func CompileBitBatching(n int) *BitBatchingBlueprint {
 // N returns the namespace size.
 func (bp *BitBatchingBlueprint) N() int { return bp.n }
 
-// Batches exposes the layout (Figure 1) for tests and the netcheck tool.
-func (bp *BitBatchingBlueprint) Batches() []Batch { return bp.batches }
-
 // Instantiate stamps the blueprint onto mem: the n-slot vector of adaptive
 // test-and-set objects, with internal two-process objects built by mk.
 func (bp *BitBatchingBlueprint) Instantiate(mem shmem.Mem, mk tas.SidedMaker) *BitBatching {
@@ -129,7 +126,7 @@ func (bp *RenamingNetworkBlueprint) Instantiate(mem shmem.Mem, mk tas.SidedMaker
 		bp:    bp,
 		mem:   mem,
 		mk:    mk,
-		comps: shmem.NewLazyTable[tas.Sided](mem),
+		comps: shmem.NewLazyTable[tas.Sided](),
 	}
 }
 
@@ -173,6 +170,6 @@ func (bp *StrongAdaptiveBlueprint) InstantiateWithTempNamer(mem shmem.Mem, tree 
 		mk:    mk,
 		tree:  tree,
 		ad:    bp.ad,
-		comps: shmem.NewLazyTable[tas.Sided](mem),
+		comps: shmem.NewLazyTable[tas.Sided](),
 	}
 }

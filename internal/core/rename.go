@@ -84,9 +84,6 @@ func NewBitBatching(mem shmem.Mem, n int, mk tas.SidedMaker) *BitBatching {
 	return CompileBitBatching(n).Instantiate(mem, mk)
 }
 
-// Batches exposes the layout (Figure 1) for tests and the netcheck tool.
-func (b *BitBatching) Batches() []Batch { return b.bp.batches }
-
 // Reset restores every slot to its unentered state, keeping the lazily
 // built object graph, so the instance serves the next execution without
 // reallocation. Between executions only.

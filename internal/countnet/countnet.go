@@ -26,29 +26,10 @@ import (
 	"repro/internal/shmem"
 )
 
-// Balancer is a two-output toggle: tokens alternate top (true) and bottom
-// (false), starting with top. Implemented as a CAS toggle (unit-cost
-// hardware step, the same accounting as the renaming comparators' TAS).
-type Balancer struct {
-	state shmem.CASReg
-}
-
-// NewBalancer allocates a balancer from mem.
-func NewBalancer(mem shmem.Mem) *Balancer {
-	return &Balancer{state: mem.NewCASReg(0)}
-}
-
-// Traverse passes one token: true = top output.
-func (b *Balancer) Traverse(p shmem.Proc) bool {
-	return toggle(p, b.state)
-}
-
-// Reset restores the balancer to its initial (top-first) state.
-func (b *Balancer) Reset() {
-	shmem.Restore(b.state, 0)
-}
-
-// toggle bumps a balancer word and reports whether the token leaves on top.
+// toggle passes one token through a balancer, a two-output toggle: tokens
+// alternate top (true) and bottom (false), starting with top. The word is
+// bumped by CAS (unit-cost hardware step, the same accounting as the
+// renaming comparators' TAS).
 func toggle(p shmem.Proc, r shmem.CASReg) bool {
 	for {
 		s := r.Read(p)
@@ -125,9 +106,6 @@ func (bp *Blueprint) Width() int { return bp.width }
 // Depth returns the number of balancer layers.
 func (bp *Blueprint) Depth() int { return len(bp.layers) }
 
-// Balancers returns the number of balancers in the network.
-func (bp *Blueprint) Balancers() int { return len(bp.gates) }
-
 // bitonic recursively constructs Bitonic over the given logical wire list
 // and returns the logical output order (physical wires).
 func (bp *Blueprint) bitonic(wires []int) []int {
@@ -191,7 +169,7 @@ func (bp *Blueprint) Instantiate(mem shmem.Mem) *Network {
 // wires concurrently.
 type Network struct {
 	bp *Blueprint
-	// state holds the balancer toggles (indices 0..Balancers()-1) then the
+	// state holds the balancer toggles (one per gate) then the
 	// per-logical-output exit counters.
 	state shmem.RegArena
 }
@@ -201,9 +179,6 @@ type Network struct {
 func NewBitonic(mem shmem.Mem, width int) *Network {
 	return CompileBitonic(width).Instantiate(mem)
 }
-
-// Blueprint returns the compiled wiring this instance was stamped from.
-func (n *Network) Blueprint() *Blueprint { return n.bp }
 
 // Width returns the number of wires.
 func (n *Network) Width() int { return n.bp.width }

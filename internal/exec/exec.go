@@ -109,9 +109,6 @@ func (e *Execution) Record() *EventLog {
 // StopRecording disarms the recorder; the log keeps its last contents.
 func (e *Execution) StopRecording() { e.log = nil }
 
-// Log returns the armed log (nil when not recording).
-func (e *Execution) Log() *EventLog { return e.log }
-
 func (e *Execution) requireHookable(what string) {
 	if e.n == nil && e.s == nil {
 		panic(fmt.Sprintf("exec: %s needs the native or simulated runtime, not %T", what, e.rt))

@@ -85,14 +85,6 @@ func (f *FaultPlan) Pause(proc int) { f.gate(proc).Store(true) }
 // Resume releases a paused process.
 func (f *FaultPlan) Resume(proc int) { f.gate(proc).Store(false) }
 
-// Paused reports whether proc is currently paused.
-func (f *FaultPlan) Paused(proc int) bool {
-	f.mu.Lock()
-	g := f.paused[proc]
-	f.mu.Unlock()
-	return g != nil && g.Load()
-}
-
 func (f *FaultPlan) gate(proc int) *atomic.Bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -367,6 +367,8 @@ func runOp(s *Scenario, tg *Target, kind opKind, at float64, key uint64, keyed b
 // routing contract carries through: the drawn target rides the wire as the
 // op argument and lands on the server's keyed shard checkout, so a
 // Zipf-hot key contends on one shard there exactly as it would in-process.
+// Unkeyed ops carry their per-op key (see worker.target), so they spread
+// over shards and nodes the way in-process Do spreads over shards.
 // Failures are counted (they fail the verdict); the op still lands in the
 // latency distribution — a failed round trip is still a round trip the
 // client waited for.

@@ -49,14 +49,20 @@ func (z *zipf) draw(r *rng.SplitMix64) uint64 {
 	return uint64(lo)
 }
 
-// target draws the op's Zipf target key from the worker's op stream.
-// keyed is false when the scenario has no skew or the kind has no target
-// (waves run k processes against one checked-out instance; there is no
-// single target to skew). Skew-free scenarios never reach the draw, so
-// their op streams are bit-identical to the pre-skew harness.
+// target returns the op's key. Under skew it is the op's Zipf target,
+// drawn from the worker's op stream, and keyed is true. Waves have no
+// single target (k processes run against one checked-out instance) and
+// get key 0. Skew-free per-op kinds get a key derived from the worker and
+// its op count, with keyed false: in-process runs ignore it, and remote
+// runs use it to spread ops over server shards and ring nodes. Neither
+// case draws from the op stream, so skew-free op streams are bit-identical
+// to the pre-skew harness.
 func (w *worker) target(kind opKind) (key uint64, keyed bool) {
-	if w.z == nil || kind == opWave {
+	switch {
+	case kind == opWave:
 		return 0, false
+	case w.z == nil:
+		return uint64(w.id)<<32 | w.count, false
 	}
 	return w.z.draw(&w.gen), true
 }

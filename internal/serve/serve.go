@@ -56,11 +56,6 @@ type Options struct {
 	// Seed derives each instance's runtime seed (instance i uses Seed+i),
 	// so distinct instances draw distinct coin streams.
 	Seed uint64
-	// KeepState disables the reset-on-Put recycle: checkouts then observe
-	// whatever state earlier holders left behind (for explicitly
-	// accumulating services). The default recycles, so every checkout gets
-	// a fresh graph.
-	KeepState bool
 }
 
 func (o Options) withDefaults() Options {
@@ -143,16 +138,13 @@ func (in *Instance[T]) Put() {
 	// dedicated proc recycles with the graph: its coin stream re-derives,
 	// so the next checkout's operations are bit-identical to a fresh
 	// instance's (also for randomized blueprints).
-	if !in.pool.keepState {
-		in.Obj.Reset()
-		if in.proc != nil {
-			in.proc.Reset()
-		}
+	in.Obj.Reset()
+	if in.proc != nil {
+		in.proc.Reset()
 	}
 	// A FaultPlan or recorder armed on the execution context belongs to the
-	// holder's session, never to the graph: disarm it unconditionally (also
-	// under KeepState), so chaos testing one checkout cannot crash the next
-	// holder's executions.
+	// holder's session, never to the graph: disarm it, so chaos testing one
+	// checkout cannot crash the next holder's executions.
 	if in.ex != nil {
 		in.ex.Faults(nil)
 		in.ex.StopRecording()
@@ -254,9 +246,8 @@ func (s *shard[T]) register(in *Instance[T]) {
 
 // Pool is the sharded serving engine over one instantiation recipe.
 type Pool[T shmem.Resettable] struct {
-	shards    []shard[T]
-	mask      uint64
-	keepState bool
+	shards []shard[T]
+	mask   uint64
 
 	newRuntime  func(id uint64) shmem.Runtime
 	instantiate func(mem shmem.Mem) T
@@ -283,7 +274,6 @@ func NewWithRuntime[T shmem.Resettable](opts Options, newRuntime func(id uint64)
 	p := &Pool[T]{
 		shards:      make([]shard[T], opts.Shards),
 		mask:        uint64(opts.Shards - 1),
-		keepState:   opts.KeepState,
 		newRuntime:  newRuntime,
 		instantiate: instantiate,
 	}

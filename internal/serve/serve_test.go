@@ -265,29 +265,6 @@ func TestPoolOverflowInstantiates(t *testing.T) {
 	d.Put()
 }
 
-// TestPoolKeepState: with KeepState the pool skips the recycle, so state
-// accumulates across checkouts (the explicitly-accumulating service mode).
-func TestPoolKeepState(t *testing.T) {
-	bp := core.CompileStrongAdaptive(0)
-	pool := New(Options{Shards: 1, PerShard: 1, KeepState: true}, func(mem shmem.Mem) *core.StrongAdaptive {
-		return bp.InstantiateWithTempNamer(mem, splitter.NewTree(mem), tas.MakeUnit)
-	})
-	var names []uint64
-	for i := 0; i < 3; i++ {
-		pool.Do(func(p shmem.Proc, sa *core.StrongAdaptive) {
-			names = append(names, sa.Rename(p, uint64(i)+1))
-		})
-	}
-	// Same instance every time (one instance, serial checkouts), no reset:
-	// the namespace keeps growing.
-	want := []uint64{1, 2, 3}
-	for i, n := range names {
-		if n != want[i] {
-			t.Fatalf("KeepState names = %v, want %v", names, want)
-		}
-	}
-}
-
 // TestPoolSimBackedCheckout pins the pooled checkout on the deterministic
 // runtime: a pooled, previously used instance replays a (seed, adversary)
 // point bit-identically to a fresh construction (the serving-engine face

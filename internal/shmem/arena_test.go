@@ -24,43 +24,39 @@ func (fakeMem) NewCASReg(init uint64) CASReg { return &fakeReg{v: init} }
 
 func testArena(t *testing.T, name string, mem Mem) {
 	t.Helper()
-	rt, isRuntime := mem.(Runtime)
 	a := NewRegs(mem, 16)
 	if a.Len() != 16 {
 		t.Fatalf("%s: Len = %d, want 16", name, a.Len())
 	}
-	write := func(p Proc) {
-		for i := 0; i < a.Len(); i++ {
-			if got := a.Reg(i).Read(p); got != 0 {
-				t.Errorf("%s: reg %d initial value %d, want 0", name, i, got)
-			}
-			a.Reg(i).Write(p, uint64(i)+1)
-			if !a.CASReg(i).CompareAndSwap(p, uint64(i)+1, uint64(i)+2) {
-				t.Errorf("%s: CAS on reg %d failed", name, i)
-			}
+	run := func(body func(p Proc)) {
+		if rt, ok := mem.(Runtime); ok {
+			rt.Run(1, body)
+		} else {
+			body(nil)
 		}
 	}
-	if isRuntime {
-		rt.Run(1, write)
-	} else {
-		write(nil)
-	}
-	a.Reset()
-	check := func(p Proc) {
-		for i := 0; i < a.Len(); i++ {
-			if got := a.Reg(i).Read(p); got != 0 {
-				t.Errorf("%s: reg %d = %d after Reset, want 0", name, i, got)
+	// The first round dirties every register; the second only every third
+	// one, so Reset also meets registers that are already clean.
+	for round, stride := range []int{1, 3} {
+		run(func(p Proc) {
+			for i := 0; i < a.Len(); i += stride {
+				if got := a.Reg(i).Read(p); got != 0 {
+					t.Errorf("%s round %d: reg %d initial value %d, want 0", name, round, i, got)
+				}
+				a.Reg(i).Write(p, uint64(i)+1)
+				if !a.CASReg(i).CompareAndSwap(p, uint64(i)+1, uint64(i)+2) {
+					t.Errorf("%s round %d: CAS on reg %d failed", name, round, i)
+				}
 			}
-		}
-	}
-	if isRuntime {
-		if r, ok := rt.(interface{ Reset(uint64) }); ok {
-			_ = r
-		}
-		// The native runtime supports repeated Run calls directly.
-		rt.Run(1, check)
-	} else {
-		check(nil)
+		})
+		a.Reset()
+		run(func(p Proc) {
+			for i := 0; i < a.Len(); i++ {
+				if got := a.Reg(i).Read(p); got != 0 {
+					t.Errorf("%s round %d: reg %d = %d after Reset, want 0", name, round, i, got)
+				}
+			}
+		})
 	}
 }
 
@@ -85,34 +81,28 @@ func TestRestoreHelper(t *testing.T) {
 }
 
 func TestLazyTableRange(t *testing.T) {
-	for _, serial := range []bool{true, false} {
-		var mem Mem = NewNative(1)
-		if serial {
-			mem = &serialMem{}
+	tab := NewLazyTable[int]()
+	want := map[uint64]int{0: 10, 1: 11, 7: 17, 1 << 40: 40}
+	for k, v := range want {
+		tab.Insert(k, v)
+	}
+	got := map[uint64]int{}
+	tab.Range(func(k uint64, v int) bool {
+		got[k] = v
+		return true
+	})
+	if len(got) != len(want) {
+		t.Fatalf("Range saw %d entries, want %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("Range[%d] = %d, want %d", k, got[k], v)
 		}
-		tab := NewLazyTable[int](mem)
-		want := map[uint64]int{0: 10, 1: 11, 7: 17, 1 << 40: 40}
-		for k, v := range want {
-			tab.Insert(k, v)
-		}
-		got := map[uint64]int{}
-		tab.Range(func(k uint64, v int) bool {
-			got[k] = v
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("serial=%v: Range saw %d entries, want %d", serial, len(got), len(want))
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("serial=%v: Range[%d] = %d, want %d", serial, k, got[k], v)
-			}
-		}
-		// Early stop: the callback returning false ends the walk.
-		n := 0
-		tab.Range(func(uint64, int) bool { n++; return false })
-		if n != 1 {
-			t.Fatalf("serial=%v: Range after false visited %d entries, want 1", serial, n)
-		}
+	}
+	// Early stop: the callback returning false ends the walk.
+	n := 0
+	tab.Range(func(uint64, int) bool { n++; return false })
+	if n != 1 {
+		t.Fatalf("Range after false visited %d entries, want 1", n)
 	}
 }

@@ -147,13 +147,13 @@ func TestFastRegFallbackConcurrent(t *testing.T) {
 	})
 }
 
-// TestLazyTableConcurrentGrowth drives the concurrent table through many
+// TestLazyTableConcurrentGrowth drives the table through many
 // doublings from disjoint concurrent writers while readers continuously
 // probe published keys — the growth-under-contention regime (run under
 // -race in CI). Every inserted key must be present afterwards, and readers
 // must never observe a key without its value.
 func TestLazyTableConcurrentGrowth(t *testing.T) {
-	tab := NewLazyTable[uint64](NewNative(1))
+	tab := NewLazyTable[uint64]()
 	const (
 		writers   = 8
 		perWriter = 4_000 // 32k entries: ~9 doublings from the 64-slot start

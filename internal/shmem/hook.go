@@ -72,7 +72,7 @@ func spawnFunc(h StepHook, body func(Proc), crashed []bool) func(Proc) {
 // runHooked executes body on p behind a hookedProc, translating
 // hook-initiated crashes into a clean early exit recorded in
 // crashed[p.ID()]. Disarmed executions never call it — they spawn body
-// directly (see Run/RunGroup.Run), keeping the disarmed goroutine's frame
+// directly (see RunGroup.Run), keeping the disarmed goroutine's frame
 // chain, and therefore its stack-growth profile, exactly as it was before
 // hooks existed.
 func runHooked(p *NativeProc, h StepHook, body func(Proc), crashed []bool) {

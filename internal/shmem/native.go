@@ -13,8 +13,9 @@ import (
 // wall-clock benchmarks; step counts are exact but interleavings are up to
 // the Go scheduler. Adversarial schedules still come from internal/sim,
 // but the execution layer (internal/exec) can inject crashes and stalls
-// here through the step hook below, and can record a native execution's
-// operation order so it replays deterministically on the simulator.
+// here through a RunGroup's step hook (see hook.go), and can record a
+// native execution's operation order so it replays deterministically on
+// the simulator.
 //
 // Step accounting is contention-free: every process counts its own steps in
 // a cache-line-padded slot, and no shared state is touched per step unless
@@ -26,9 +27,6 @@ type Native struct {
 	seed uint64
 	ts   bool
 	pad  bool
-	// hook, when armed via SetHook, wraps the procs of subsequent Run
-	// calls (see hook.go). nil leaves the step path untouched.
-	hook StepHook
 	// clock is the shared timestamp clock, maintained only WithTimestamps.
 	// Padded so the preceding fields don't share its cache line.
 	_     [64]byte
@@ -78,13 +76,6 @@ func NewNative(seed uint64, opts ...NativeOption) *Native {
 // simulator with the same streams).
 func (n *Native) Seed() uint64 { return n.seed }
 
-// SetHook arms (or, with nil, disarms) the runtime-level step hook for
-// subsequent Run calls; arming must not race an execution in flight.
-// Execution groups can carry their own hook instead (RunGroup.SetHook),
-// which leaves the runtime disarmed for everyone else. Standalone procs
-// (NewProc) are never hooked.
-func (n *Native) SetHook(h StepHook) { n.hook = h }
-
 // NewReg allocates an atomic register.
 func (n *Native) NewReg(init uint64) Reg {
 	return n.newReg(init)
@@ -106,37 +97,10 @@ func (n *Native) newReg(init uint64) CASReg {
 	return r
 }
 
-// Run executes body on k goroutines and blocks until all return (or, with
-// a step hook armed, crash). Stats.Crashed is populated exactly when a hook
-// is armed — the native analogue of the simulator's crash accounting.
+// Run executes body on k goroutines and blocks until all return, on a
+// one-shot RunGroup; repeated executions should hold a group instead.
 func (n *Native) Run(k int, body func(p Proc)) *Stats {
-	// One contiguous, padded slice: each proc's counters live in their own
-	// cache lines, so concurrent Step accounting never false-shares.
-	procs := make([]NativeProc, k)
-	h := n.hook
-	var crashed []bool
-	if h != nil {
-		crashed = make([]bool, k)
-	}
-	spawn := spawnFunc(h, body, crashed)
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for i := 0; i < k; i++ {
-		p := &procs[i]
-		p.id = i
-		p.rng = rng.Derived(n.seed, uint64(i))
-		p.rt = n
-		go func() {
-			defer wg.Done()
-			spawn(p)
-		}()
-	}
-	wg.Wait()
-	st := &Stats{PerProc: make([]OpCounts, k), Crashed: crashed}
-	for i := range procs {
-		st.PerProc[i] = procs[i].counts
-	}
-	return st
+	return n.NewRunGroup(k).Run(body)
 }
 
 // NewProc returns a standalone process context bound to the runtime, for
@@ -153,9 +117,10 @@ func (n *Native) NewProc(id int) *NativeProc {
 // once and recycled, so the steady state of a serving loop spends zero
 // allocations per execution beyond the k goroutines themselves.
 //
-// Each Run re-derives the same per-process coin streams Native.Run would,
-// so a RunGroup execution is indistinguishable from a plain Run. The
-// returned Stats are valid until the next Run on the same group.
+// Each Run re-derives every process's coin stream from (seed, id), so
+// repeated executions are indistinguishable from fresh ones. Native.Run is
+// a one-shot group. The returned Stats are valid until the next Run on the
+// same group.
 type RunGroup struct {
 	n       *Native
 	procs   []NativeProc
@@ -176,19 +141,17 @@ func (n *Native) NewRunGroup(k int) *RunGroup {
 // K returns the group's process count.
 func (g *RunGroup) K() int { return len(g.procs) }
 
-// SetHook arms (or, with nil, disarms) a group-level step hook for
-// subsequent Runs. A group hook takes precedence over the runtime-level one
-// and scopes fault injection or recording to this group's executions.
+// SetHook arms (or, with nil, disarms) the group's step hook for
+// subsequent Runs, scoping fault injection or recording to this group's
+// executions; arming must not race an execution in flight. Standalone
+// procs (NewProc) are never hooked.
 func (g *RunGroup) SetHook(h StepHook) { g.hook = h }
 
 // Run executes body once per process, reusing the group's proc contexts.
-// With a hook armed (on the group or the runtime), Stats.Crashed reports
-// which processes the hook crashed; it is nil otherwise.
+// With a hook armed, Stats.Crashed reports which processes the hook
+// crashed; it is nil otherwise.
 func (g *RunGroup) Run(body func(p Proc)) *Stats {
 	h := g.hook
-	if h == nil {
-		h = g.n.hook
-	}
 	var crashed []bool
 	if h != nil {
 		if g.crashed == nil || len(g.crashed) != len(g.procs) {
@@ -286,9 +249,14 @@ func (a nativeArena) Len() int            { return len(a) }
 func (a nativeArena) Reg(i int) Reg       { return &a[i] }
 func (a nativeArena) CASReg(i int) CASReg { return &a[i] }
 
+// Reset stores only the registers that read nonzero: a plain Store is a
+// locked exchange on amd64, and serving pools sweep their arenas on every
+// Put while an operation dirties only a few registers.
 func (a nativeArena) Reset() {
 	for i := range a {
-		a[i].v.Store(0)
+		if a[i].v.Load() != 0 {
+			a[i].v.Store(0)
+		}
 	}
 }
 
@@ -298,9 +266,12 @@ func (a nativePaddedArena) Len() int            { return len(a) }
 func (a nativePaddedArena) Reg(i int) Reg       { return &a[i] }
 func (a nativePaddedArena) CASReg(i int) CASReg { return &a[i] }
 
+// Reset stores only the registers that read nonzero (see nativeArena).
 func (a nativePaddedArena) Reset() {
 	for i := range a {
-		a[i].v.Store(0)
+		if a[i].v.Load() != 0 {
+			a[i].v.Store(0)
+		}
 	}
 }
 

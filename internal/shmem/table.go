@@ -6,111 +6,79 @@ import (
 	"sync/atomic"
 )
 
-// Serial is an optional marker for Mem implementations whose objects are
-// only ever accessed by one goroutine at a time. The deterministic
-// simulator is serial: its scheduler keeps exactly one process coroutine
-// runnable at any moment, so object bookkeeping (the lazy allocation tables
-// behind comparators, splitter nodes, tournament nodes) can skip internal
-// synchronization. The native runtime is concurrent and is not Serial.
-type Serial interface {
-	SerialMem()
-}
-
-// IsSerial reports whether mem declares its objects goroutine-confined.
-func IsSerial(mem Mem) bool {
-	_, ok := mem.(Serial)
-	return ok
-}
-
 // LazyTable is a uint64-keyed table of lazily created shared objects. The
 // constructions in this repository conceptually pre-allocate unbounded
 // object families (an infinite splitter tree, a 2^32-wire network of
 // comparators); a LazyTable materializes only the objects an execution
 // touches. Allocation is bookkeeping outside the shared-memory model — no
 // simulated steps are charged — but it sits on the hot path of every object
-// access, so both implementations keep the lookup allocation-free:
+// access, so lookups take no locks and allocate nothing.
 //
-//   - on Serial runtimes an unsynchronized open-addressing table (one
-//     multiply-shift hash, linear probing, no per-entry allocation);
-//   - otherwise the same open-addressing layout with lock-free lookups:
-//     keys are atomic words, values are published before their key
-//     (release/acquire through the key), inserts and growth serialize on a
-//     mutex, and the table itself swaps copy-on-write. Lookups never lock,
-//     never box the key (the previous sync.Map backing allocated a boxed
-//     uint64 per lookup — one heap allocation per comparator access on the
-//     native hot path), and each object is created exactly once per key as
-//     far as any process can observe.
+// The layout is open addressing with linear probing over co-located
+// key/value slots (a probe costs one cache line) and a multiply-shift hash.
+// Keys are atomic words, values are published before their key
+// (release/acquire through the key), inserts and growth serialize on a
+// mutex, and the table itself swaps copy-on-write. Every object is created
+// exactly once per key as far as any process can observe. One table serves
+// both runtimes: on the simulator only one process runs at a time, so the
+// mutex is never contended.
 type LazyTable[V any] struct {
-	// Serial path: open addressing with linear probing over key/value pairs
-	// (co-located so a probe costs one cache line). Key 0 is the empty
-	// sentinel; the rare real key 0 is stored in zeroVal instead.
-	slots   []lazySlot[V]
-	used    int
-	shift   uint
-	zeroVal V
-	hasZero bool
-	serial  bool
-
-	// Concurrent path.
-	tab     atomic.Pointer[lazyCTab[V]]
+	tab     atomic.Pointer[lazyTab[V]]
+	zeroVal V           // the rare real key 0 (0 marks empty slots)
 	zeroSet atomic.Bool // publishes zeroVal (written under mu)
 	mu      sync.Mutex  // guards inserts and growth
 	n       atomic.Int64
+
+	// The first generation lives inline, so a new table costs a single
+	// allocation: object graphs build many small tables (two per RatRace
+	// slot of a bit-batching renamer), and the sweep engine instantiates
+	// graphs per job.
+	first      lazyTab[V]
+	firstSlots [lazyTableMinSize]lazySlot[V]
 }
 
-type lazySlot[V any] struct {
-	key uint64
-	val V
-}
-
-// lazyCTab is one immutable-capacity generation of the concurrent table.
-// vals[i] is written before keys[i] is atomically set, so any reader that
-// observes the key also observes the value (release/acquire on the key).
-type lazyCTab[V any] struct {
+// lazyTab is one immutable-capacity generation of the table.
+type lazyTab[V any] struct {
 	shift uint
-	keys  []atomic.Uint64 // 0 = empty
-	vals  []V
+	slots []lazySlot[V]
+}
+
+// lazySlot is one table entry. val is written before key is atomically
+// set, so any reader that observes the key also observes the value
+// (release/acquire on the key).
+type lazySlot[V any] struct {
+	key atomic.Uint64 // 0 = empty
+	val V
 }
 
 const lazyTableMinSize = 64 // power of two
 
-// NewLazyTable returns a table whose synchronization matches mem.
-func NewLazyTable[V any](mem Mem) *LazyTable[V] {
+// NewLazyTable returns an empty table.
+func NewLazyTable[V any]() *LazyTable[V] {
 	t := &LazyTable[V]{}
-	if IsSerial(mem) {
-		t.serial = true
-		t.slots = make([]lazySlot[V], lazyTableMinSize)
-		t.shift = 64 - uint(bits.TrailingZeros(lazyTableMinSize))
-	} else {
-		t.tab.Store(newLazyCTab[V](lazyTableMinSize))
-	}
+	t.first = lazyTab[V]{shift: lazyShift(lazyTableMinSize), slots: t.firstSlots[:]}
+	t.tab.Store(&t.first)
 	return t
 }
 
-func newLazyCTab[V any](size int) *lazyCTab[V] {
-	return &lazyCTab[V]{
-		shift: 64 - uint(bits.TrailingZeros(uint(size))),
-		keys:  make([]atomic.Uint64, size),
-		vals:  make([]V, size),
-	}
+// lazyShift is the hash shift of a generation of size slots.
+func lazyShift(size int) uint {
+	return 64 - uint(bits.TrailingZeros(uint(size)))
 }
 
-// hash spreads a key over the table with a Fibonacci multiply-shift.
-func (t *LazyTable[V]) hash(key uint64) uint64 {
-	return (key * 0x9e3779b97f4a7c15) >> t.shift
-}
-
-func (c *lazyCTab[V]) hash(key uint64) uint64 {
+// hash spreads a key over the generation with a Fibonacci multiply-shift.
+func (c *lazyTab[V]) hash(key uint64) uint64 {
 	return (key * 0x9e3779b97f4a7c15) >> c.shift
 }
 
-// lookup probes one concurrent-table generation.
-func (c *lazyCTab[V]) lookup(key uint64) (V, bool) {
-	mask := uint64(len(c.keys) - 1)
+// lookup probes one generation.
+func (c *lazyTab[V]) lookup(key uint64) (V, bool) {
+	mask := uint64(len(c.slots) - 1)
 	for i := c.hash(key); ; i = (i + 1) & mask {
-		switch c.keys[i].Load() {
+		s := &c.slots[i]
+		switch s.key.Load() {
 		case key:
-			return c.vals[i], true
+			return s.val, true
 		case 0:
 			var zero V
 			return zero, false
@@ -123,22 +91,6 @@ func (c *lazyCTab[V]) lookup(key uint64) (V, bool) {
 // APIs deliberately: constructing a capturing closure per access costs an
 // allocation on the hot path).
 func (t *LazyTable[V]) Lookup(key uint64) (V, bool) {
-	if t.serial {
-		if key == 0 {
-			return t.zeroVal, t.hasZero
-		}
-		mask := uint64(len(t.slots) - 1)
-		for i := t.hash(key); ; i = (i + 1) & mask {
-			s := &t.slots[i]
-			if s.key == key {
-				return s.val, true
-			}
-			if s.key == 0 {
-				var zero V
-				return zero, false
-			}
-		}
-	}
 	if key == 0 {
 		if t.zeroSet.Load() {
 			return t.zeroVal, true
@@ -154,30 +106,6 @@ func (t *LazyTable[V]) Lookup(key uint64) (V, bool) {
 // the object optimistically after a failed Lookup; a losing duplicate was
 // never visible to any process, so discarding it is safe.
 func (t *LazyTable[V]) Insert(key uint64, v V) V {
-	if t.serial {
-		if key == 0 {
-			if t.hasZero {
-				return t.zeroVal
-			}
-			t.zeroVal, t.hasZero = v, true
-			return v
-		}
-		if 4*(t.used+1) > 3*len(t.slots) {
-			t.grow()
-		}
-		mask := uint64(len(t.slots) - 1)
-		for i := t.hash(key); ; i = (i + 1) & mask {
-			s := &t.slots[i]
-			if s.key == key {
-				return s.val
-			}
-			if s.key == 0 {
-				s.key, s.val = key, v
-				t.used++
-				return v
-			}
-		}
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if key == 0 {
@@ -194,56 +122,39 @@ func (t *LazyTable[V]) Insert(key uint64, v V) V {
 	if w, ok := c.lookup(key); ok {
 		return w
 	}
-	if n := t.n.Load(); 4*(n+1) > 3*int64(len(c.keys)) {
-		c = t.growConcurrent(c)
+	if n := t.n.Load(); 4*(n+1) > 3*int64(len(c.slots)) {
+		c = t.grow(c)
 	}
-	mask := uint64(len(c.keys) - 1)
+	mask := uint64(len(c.slots) - 1)
 	i := c.hash(key)
-	for c.keys[i].Load() != 0 {
+	for c.slots[i].key.Load() != 0 {
 		i = (i + 1) & mask
 	}
-	c.vals[i] = v        // value first...
-	c.keys[i].Store(key) // ...then the key that publishes it
+	c.slots[i].val = v        // value first...
+	c.slots[i].key.Store(key) // ...then the key that publishes it
 	t.n.Add(1)
 	return v
 }
 
-// grow doubles the serial table and rehashes every entry.
-func (t *LazyTable[V]) grow() {
-	old := t.slots
-	t.slots = make([]lazySlot[V], 2*len(old))
-	t.shift--
-	mask := uint64(len(t.slots) - 1)
-	for _, s := range old {
-		if s.key == 0 {
-			continue
-		}
-		i := t.hash(s.key)
-		for t.slots[i].key != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = s
-	}
-}
-
-// growConcurrent doubles the concurrent table (mu held): entries move to a
-// fresh generation, which is published wholesale. Readers concurrently
-// probing the old generation still see every entry inserted before the
-// growth; they pick up the new generation on their next Lookup.
-func (t *LazyTable[V]) growConcurrent(old *lazyCTab[V]) *lazyCTab[V] {
-	next := newLazyCTab[V](2 * len(old.keys))
-	mask := uint64(len(next.keys) - 1)
-	for i := range old.keys {
-		k := old.keys[i].Load()
+// grow doubles the table (mu held): entries move to a fresh generation,
+// which is published wholesale. Readers concurrently probing the old
+// generation still see every entry inserted before the growth; they pick up
+// the new generation on their next Lookup.
+func (t *LazyTable[V]) grow(old *lazyTab[V]) *lazyTab[V] {
+	size := 2 * len(old.slots)
+	next := &lazyTab[V]{shift: lazyShift(size), slots: make([]lazySlot[V], size)}
+	mask := uint64(size - 1)
+	for i := range old.slots {
+		k := old.slots[i].key.Load()
 		if k == 0 {
 			continue
 		}
 		j := next.hash(k)
-		for next.keys[j].Load() != 0 {
+		for next.slots[j].key.Load() != 0 {
 			j = (j + 1) & mask
 		}
-		next.vals[j] = old.vals[i]
-		next.keys[j].Store(k)
+		next.slots[j].val = old.slots[i].val
+		next.slots[j].key.Store(k)
 	}
 	t.tab.Store(next)
 	return next
@@ -251,26 +162,15 @@ func (t *LazyTable[V]) growConcurrent(old *lazyCTab[V]) *lazyCTab[V] {
 
 // Range calls f for every object in the table until f returns false. The
 // iteration order is unspecified. Range is bookkeeping (Reset walks the
-// instantiated object graph with it) and must not run concurrently with
-// Insert on serial tables.
+// instantiated object graph with it); objects inserted while it runs may
+// or may not be visited.
 func (t *LazyTable[V]) Range(f func(key uint64, v V) bool) {
-	if t.serial {
-		if t.hasZero && !f(0, t.zeroVal) {
-			return
-		}
-		for i := range t.slots {
-			if t.slots[i].key != 0 && !f(t.slots[i].key, t.slots[i].val) {
-				return
-			}
-		}
-		return
-	}
 	if t.zeroSet.Load() && !f(0, t.zeroVal) {
 		return
 	}
 	c := t.tab.Load()
-	for i := range c.keys {
-		if k := c.keys[i].Load(); k != 0 && !f(k, c.vals[i]) {
+	for i := range c.slots {
+		if k := c.slots[i].key.Load(); k != 0 && !f(k, c.slots[i].val) {
 			return
 		}
 	}
@@ -278,12 +178,5 @@ func (t *LazyTable[V]) Range(f func(key uint64, v V) bool) {
 
 // Len returns the number of objects created so far (a space probe).
 func (t *LazyTable[V]) Len() int {
-	if t.serial {
-		n := t.used
-		if t.hasZero {
-			n++
-		}
-		return n
-	}
 	return int(t.n.Load())
 }

@@ -5,75 +5,56 @@ import (
 	"testing"
 )
 
-// serialMem is a minimal Serial Mem for table tests.
-type serialMem struct{ Native }
-
-func (*serialMem) SerialMem() {}
-
-func tables(t *testing.T) map[string]*LazyTable[int] {
-	t.Helper()
-	return map[string]*LazyTable[int]{
-		"serial":     NewLazyTable[int](&serialMem{}),
-		"concurrent": NewLazyTable[int](NewNative(1)),
-	}
-}
-
 func TestLazyTableBasic(t *testing.T) {
-	for name, tab := range tables(t) {
-		t.Run(name, func(t *testing.T) {
-			if _, ok := tab.Lookup(42); ok {
-				t.Fatal("lookup on empty table hit")
-			}
-			if got := tab.Insert(42, 7); got != 7 {
-				t.Fatalf("insert returned %d, want 7", got)
-			}
-			if got := tab.Insert(42, 9); got != 7 {
-				t.Fatalf("duplicate insert returned %d, want first value 7", got)
-			}
-			if v, ok := tab.Lookup(42); !ok || v != 7 {
-				t.Fatalf("lookup = %d,%v, want 7,true", v, ok)
-			}
-			// Key zero is legal (BFS index 0, wire 0, ...).
-			if _, ok := tab.Lookup(0); ok {
-				t.Fatal("zero key present before insert")
-			}
-			tab.Insert(0, 11)
-			if v, ok := tab.Lookup(0); !ok || v != 11 {
-				t.Fatalf("zero-key lookup = %d,%v, want 11,true", v, ok)
-			}
-			if tab.Len() != 2 {
-				t.Fatalf("Len = %d, want 2", tab.Len())
-			}
-		})
+	tab := NewLazyTable[int]()
+	if _, ok := tab.Lookup(42); ok {
+		t.Fatal("lookup on empty table hit")
+	}
+	if got := tab.Insert(42, 7); got != 7 {
+		t.Fatalf("insert returned %d, want 7", got)
+	}
+	if got := tab.Insert(42, 9); got != 7 {
+		t.Fatalf("duplicate insert returned %d, want first value 7", got)
+	}
+	if v, ok := tab.Lookup(42); !ok || v != 7 {
+		t.Fatalf("lookup = %d,%v, want 7,true", v, ok)
+	}
+	// Key zero is legal (BFS index 0, wire 0, ...).
+	if _, ok := tab.Lookup(0); ok {
+		t.Fatal("zero key present before insert")
+	}
+	tab.Insert(0, 11)
+	if v, ok := tab.Lookup(0); !ok || v != 11 {
+		t.Fatalf("zero-key lookup = %d,%v, want 11,true", v, ok)
+	}
+	if tab.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", tab.Len())
 	}
 }
 
-// TestLazyTableGrowth pushes the serial open-addressing table through many
+// TestLazyTableGrowth pushes the open-addressing table through many
 // doublings and checks every entry survives each rehash.
 func TestLazyTableGrowth(t *testing.T) {
-	for name, tab := range tables(t) {
-		t.Run(name, func(t *testing.T) {
-			const n = 10_000
-			for i := uint64(1); i <= n; i++ {
-				tab.Insert(i*0x9E3779B9, int(i))
-			}
-			if tab.Len() != n {
-				t.Fatalf("Len = %d, want %d", tab.Len(), n)
-			}
-			for i := uint64(1); i <= n; i++ {
-				v, ok := tab.Lookup(i * 0x9E3779B9)
-				if !ok || v != int(i) {
-					t.Fatalf("key %d: got %d,%v", i, v, ok)
-				}
-			}
-		})
+	tab := NewLazyTable[int]()
+	const n = 10_000
+	for i := uint64(1); i <= n; i++ {
+		tab.Insert(i*0x9E3779B9, int(i))
+	}
+	if tab.Len() != n {
+		t.Fatalf("Len = %d, want %d", tab.Len(), n)
+	}
+	for i := uint64(1); i <= n; i++ {
+		v, ok := tab.Lookup(i * 0x9E3779B9)
+		if !ok || v != int(i) {
+			t.Fatalf("key %d: got %d,%v", i, v, ok)
+		}
 	}
 }
 
-// TestLazyTableConcurrent hammers the concurrent path from many goroutines:
-// every racer for a key must observe the same winner.
+// TestLazyTableConcurrent hammers the table from many goroutines: every
+// racer for a key must observe the same winner.
 func TestLazyTableConcurrent(t *testing.T) {
-	tab := NewLazyTable[int](NewNative(1))
+	tab := NewLazyTable[int]()
 	const (
 		workers = 8
 		keys    = 500

@@ -204,14 +204,7 @@ type Runtime struct {
 }
 
 var _ shmem.Runtime = (*Runtime)(nil)
-var _ shmem.Serial = (*Runtime)(nil)
 var _ shmem.ArenaMem = (*Runtime)(nil)
-
-// SerialMem marks the simulator as single-threaded: exactly one process
-// coroutine (or the scheduler) runs at any moment, so objects allocated
-// from this runtime are goroutine-confined and their bookkeeping needs no
-// locks (see shmem.Serial).
-func (r *Runtime) SerialMem() {}
 
 // Option configures a Runtime.
 type Option func(*Runtime)

@@ -11,6 +11,8 @@
 package splitter
 
 import (
+	"sync"
+
 	"repro/internal/shmem"
 )
 
@@ -71,17 +73,18 @@ func (s *Splitter) Visit(p shmem.Proc, id uint64) Outcome {
 //
 // Node allocation is bookkeeping outside the shared-memory model (in the
 // paper the infinite tree exists a priori); no simulated steps are charged
-// for it. The node table is unsynchronized on serial runtimes (see
-// shmem.LazyTable).
+// for it. Lookups are lock-free (see shmem.LazyTable), and a tree is safe
+// for concurrent descents on the native runtime.
 type Tree struct {
 	mem   shmem.Mem
 	nodes *shmem.LazyTable[*Splitter]
 
-	// On serial runtimes splitter shells and registers are chunk-allocated:
-	// node allocation sits on the descent path and would otherwise cost
-	// three allocations per node. arenas keeps every register chunk ever
-	// handed out so Reset can restore the whole tree with a few sweeps.
-	serial bool
+	// Splitter shells and registers are chunk-allocated: node allocation
+	// sits on the descent path and would otherwise cost three allocations
+	// per node. mu guards the chunk cursor against concurrent descents;
+	// arenas keeps every register chunk ever handed out so Reset can
+	// restore the whole tree with a few sweeps.
+	mu     sync.Mutex
 	shells []Splitter
 	chunk  shmem.RegArena
 	off    int
@@ -94,11 +97,7 @@ const treeChunk = 32
 
 // NewTree allocates an empty splitter tree backed by mem.
 func NewTree(mem shmem.Mem) *Tree {
-	return &Tree{
-		mem:    mem,
-		nodes:  shmem.NewLazyTable[*Splitter](mem),
-		serial: shmem.IsSerial(mem),
-	}
+	return &Tree{mem: mem, nodes: shmem.NewLazyTable[*Splitter]()}
 }
 
 // node returns the splitter at index idx, allocating it on first use.
@@ -109,12 +108,12 @@ func (t *Tree) node(idx uint64) *Splitter {
 	return t.nodes.Insert(idx, t.newSplitter())
 }
 
-// newSplitter allocates one splitter, chunked on serial runtimes (the
-// simulator is single-threaded, so the chunk cursor needs no lock).
+// newSplitter takes the next splitter from the current chunk. A splitter
+// that loses its Insert race stays in its chunk unused; Reset sweeps it
+// like any other.
 func (t *Tree) newSplitter() *Splitter {
-	if !t.serial {
-		return NewSplitter(t.mem)
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.off == treeChunk || t.chunk == nil {
 		t.shells = make([]Splitter, treeChunk)
 		t.chunk = shmem.NewRegs(t.mem, 2*treeChunk)
@@ -132,16 +131,9 @@ func (t *Tree) newSplitter() *Splitter {
 // the node table: the next execution reuses the same nodes with zero
 // allocation. Must only run between executions.
 func (t *Tree) Reset() {
-	if t.serial {
-		for _, a := range t.arenas {
-			a.Reset()
-		}
-		return
+	for _, a := range t.arenas {
+		a.Reset()
 	}
-	t.nodes.Range(func(_ uint64, s *Splitter) bool {
-		s.Reset()
-		return true
-	})
 }
 
 // Size returns the number of allocated splitter nodes (a space-complexity

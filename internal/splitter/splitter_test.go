@@ -215,3 +215,37 @@ func TestTreeReentrant(t *testing.T) {
 		t.Fatalf("%d distinct nodes for %d invocations", len(names), n)
 	}
 }
+
+// TestTreeConcurrentNative descends one tree from 64 native goroutines at
+// once, which allocates nodes concurrently across chunk boundaries. Names
+// must be unique, and after Reset a solo contender must stop at the root
+// again, for several rounds.
+func TestTreeConcurrentNative(t *testing.T) {
+	const k = 64
+	rt := shmem.NewNative(5)
+	tree := NewTree(rt)
+	for round := 0; round < 4; round++ {
+		names := make([]uint64, k)
+		rt.Run(k, func(p shmem.Proc) {
+			names[p.ID()] = tree.Acquire(p, uint64(p.ID())+1)
+		})
+		seen := make(map[uint64]int, k)
+		for id, n := range names {
+			if prev, dup := seen[n]; dup {
+				t.Fatalf("round %d: processes %d and %d share node %d", round, prev, id, n)
+			}
+			seen[n] = id
+		}
+		if len(tree.arenas) < 2 {
+			t.Fatalf("round %d: %d nodes fit in %d chunk(s); the test must cross a chunk boundary",
+				round, tree.Size(), len(tree.arenas))
+		}
+		tree.Reset()
+		var solo uint64
+		rt.Run(1, func(p shmem.Proc) { solo = tree.Acquire(p, 1) })
+		if solo != 1 {
+			t.Fatalf("round %d: solo contender after Reset acquired node %d, want root (1)", round, solo)
+		}
+		tree.Reset()
+	}
+}

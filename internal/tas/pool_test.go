@@ -56,17 +56,16 @@ func TestPoolReuseBitIdentical(t *testing.T) {
 }
 
 // TestPoolResetRestoresObjects checks Pool.Reset alone restores every
-// handed-out object on both runtime flavors.
+// handed-out object on both runtimes.
 func TestPoolResetRestoresObjects(t *testing.T) {
-	for _, serial := range []bool{true, false} {
+	for _, name := range []string{"sim", "native"} {
 		var mem shmem.Mem
 		var run func(body func(p shmem.Proc))
-		if serial {
+		if name == "sim" {
 			rt := sim.New(7, sim.NewSequential())
 			mem = rt
 			run = func(body func(p shmem.Proc)) {
-				st := rt.Run(2, body)
-				_ = st
+				rt.Run(2, body)
 				rt.Reset(7, sim.NewSequential())
 			}
 		} else {
@@ -95,10 +94,52 @@ func TestPoolResetRestoresObjects(t *testing.T) {
 			}
 			for i, o := range objs {
 				if !o.TestAndSetSide(p, 0) {
-					t.Errorf("serial=%v: object %d not reset: solo contender lost", serial, i)
+					t.Errorf("%s: object %d not reset: solo contender lost", name, i)
 					return
 				}
 			}
 		})
+	}
+}
+
+// TestPoolConcurrentMake draws objects from one pool on many native
+// processes at once, across chunk boundaries. Every object must be
+// distinct and own its registers: a solo side-0 caller wins each one, and
+// wins each again after Reset, for several rounds.
+func TestPoolConcurrentMake(t *testing.T) {
+	const (
+		k       = 8
+		perProc = poolChunk // k*perProc objects: several chunks
+	)
+	rt := shmem.NewNative(3)
+	pool := NewPool(rt)
+	objs := make([][]Sided, k)
+	rt.Run(k, func(p shmem.Proc) {
+		mine := make([]Sided, perProc)
+		for i := range mine {
+			mine[i] = pool.Make(rt)
+		}
+		objs[p.ID()] = mine
+	})
+	seen := map[*TwoProc]bool{}
+	for _, mine := range objs {
+		for _, o := range mine {
+			tp := o.(*TwoProc)
+			if seen[tp] {
+				t.Fatalf("object %p handed out twice", tp)
+			}
+			seen[tp] = true
+		}
+	}
+	for round := 0; round < 3; round++ {
+		rt.Run(k, func(p shmem.Proc) {
+			for i, o := range objs[p.ID()] {
+				if !o.TestAndSetSide(p, 0) {
+					t.Errorf("round %d: proc %d object %d: solo contender lost", round, p.ID(), i)
+					return
+				}
+			}
+		})
+		pool.Reset()
 	}
 }

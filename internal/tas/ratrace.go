@@ -56,7 +56,7 @@ func NewRatRace(mem shmem.Mem, mk SidedMaker) *RatRace {
 		mem:   mem,
 		make:  mk,
 		tree:  splitter.NewTree(mem),
-		nodes: shmem.NewLazyTable[*raceNode](mem),
+		nodes: shmem.NewLazyTable[*raceNode](),
 	}
 }
 

@@ -144,42 +144,30 @@ const poolChunk = 32
 // (seed, adversary), since all shared words are zero again (the pooled
 // reuse test pins this).
 //
-// On serial runtimes (the simulator — see shmem.Serial) the maker is
-// called by one goroutine at a time, so the chunk cursor needs no lock and
-// registers come from bulk arenas; on concurrent runtimes handed-out
-// objects are tracked under a lock (construction is off the step-counted
-// hot path).
+// Shells and registers come in chunks from bulk arenas. Make is safe for
+// concurrent use: lazily built object graphs call it from concurrent
+// processes on the native runtime, so a mutex guards the chunk cursor
+// (construction is off the step-counted hot path).
 type Pool struct {
 	mem    shmem.Mem
-	serial bool
-
-	// Serial path: TwoProc shells and their registers, chunked.
+	mu     sync.Mutex
 	shells []TwoProc
 	chunk  shmem.RegArena
 	off    int
 	arenas []shmem.RegArena
-
-	// Concurrent path: individually allocated objects, tracked for Reset.
-	mu   sync.Mutex
-	objs []*TwoProc
 }
 
 // NewPool returns an empty pool over mem.
 func NewPool(mem shmem.Mem) *Pool {
-	return &Pool{mem: mem, serial: shmem.IsSerial(mem)}
+	return &Pool{mem: mem}
 }
 
 // Make is a SidedMaker drawing from the pool. The mem argument must be the
 // pool's own runtime (the SidedMaker signature carries it for makers
 // without captured state).
 func (pl *Pool) Make(shmem.Mem) Sided {
-	if !pl.serial {
-		t := NewTwoProc(pl.mem)
-		pl.mu.Lock()
-		pl.objs = append(pl.objs, t)
-		pl.mu.Unlock()
-		return t
-	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	if pl.off == poolChunk || pl.chunk == nil {
 		pl.shells = make([]TwoProc, poolChunk)
 		pl.chunk = shmem.NewRegs(pl.mem, 3*poolChunk)
@@ -194,34 +182,20 @@ func (pl *Pool) Make(shmem.Mem) Sided {
 }
 
 // Reset restores every object the pool has handed out to its unentered
-// state: one sweep per arena on serial runtimes. Must only run between
-// executions.
+// state, one sweep per arena. Must only run between executions.
 func (pl *Pool) Reset() {
-	if pl.serial {
-		for _, a := range pl.arenas {
-			a.Reset()
-		}
-		return
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	for _, t := range pl.objs {
-		t.Reset()
+	for _, a := range pl.arenas {
+		a.Reset()
 	}
 }
 
 // MakeTwoProcPool returns a register-TAS maker that batch-allocates
-// TwoProc objects from a fresh Pool on serial runtimes. The objects built
-// are identical to MakeTwoProc's, so simulated executions are unchanged.
-// On concurrent runtimes it returns plain MakeTwoProc: an anonymous pool's
-// Reset is unreachable (object graphs reset through their own tables), so
-// the concurrent path's per-allocation lock and tracking would be pure
-// overhead. Callers that want pooled reuse across executions hold the
-// Pool themselves (NewPool) and call its Reset.
+// TwoProc objects from a fresh Pool. The objects built are identical to
+// MakeTwoProc's, so simulated executions are unchanged. The anonymous
+// pool's Reset is unreachable: object graphs reset their comparators
+// through their own tables. Callers that want pooled reuse across
+// executions hold the Pool themselves (NewPool) and call its Reset.
 func MakeTwoProcPool(mem shmem.Mem) SidedMaker {
-	if !shmem.IsSerial(mem) {
-		return MakeTwoProc
-	}
 	return NewPool(mem).Make
 }
 

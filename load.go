@@ -18,43 +18,14 @@ type (
 	// adaptive-contention regime) and an optional FaultPlan armed on every
 	// execution wave.
 	Scenario = load.Scenario
-	// ArrivalSpec is a Scenario's arrival process (kind, rates, period,
-	// think time).
-	ArrivalSpec = load.Arrival
-	// OpMix is a Scenario's operation mix, as integer weights over rename,
-	// counter inc, counter read, and k-process execution waves.
-	OpMix = load.Mix
-	// ChurnSpec varies a scenario's wave width between MinK and MaxK over
-	// time, so the live contention k(t) the algorithms see keeps changing.
-	ChurnSpec = load.Churn
 	// LoadReport is a scenario run's result: per-phase latency quantiles,
 	// achieved-vs-offered rates, live-contention samples, and a verdict;
 	// serializable to JSON.
 	LoadReport = load.Report
-	// LoadPhase is one phase row of a LoadReport.
-	LoadPhase = load.PhaseReport
 	// LoadTarget is the served system a scenario runs against: the rename
 	// and counter pools plus the instantiation recipes the simulator
 	// runner uses.
 	LoadTarget = load.Target
-	// LatencyHist is the allocation-free log-bucketed histogram behind the
-	// harness's latency capture (exported for custom drivers).
-	LatencyHist = load.Hist
-)
-
-// Arrival kinds of a Scenario.
-const (
-	// ArrivalClosed is the closed loop: each worker issues its next op when
-	// the previous completes (plus think time); load self-limits.
-	ArrivalClosed = load.Closed
-	// ArrivalSteady is open-loop with deterministic arrivals at Rate.
-	ArrivalSteady = load.Steady
-	// ArrivalPoisson is open-loop with exponential inter-arrival gaps.
-	ArrivalPoisson = load.Poisson
-	// ArrivalBurst is open-loop square-wave load (Rate low, Peak high).
-	ArrivalBurst = load.Burst
-	// ArrivalRamp is open-loop linearly increasing load (Rate to Peak).
-	ArrivalRamp = load.Ramp
 )
 
 // LoadCatalog returns the curated scenario set: steady, poisson, burst,

@@ -25,25 +25,9 @@ type (
 	// and a background folder maintains the recent window, slowest-span
 	// exemplars, and per-trace chains the /trace surfaces read.
 	TraceCollector = obs.Collector
-	// TraceSpan is one recorded hop: trace id, span id and parent,
-	// start/duration nanoseconds, a kind, and one packed attribute word.
-	TraceSpan = obs.Span
-	// TraceSpanKind tags what a span measured (client op, sub-batch,
-	// gather, server frame, admission wait, shard op).
-	TraceSpanKind = obs.Kind
 	// LoadStages is the per-stage decomposition of a run's traced round
 	// trips (rtt = srv(admit+exec+queue) + net/client; Report.Stages).
 	LoadStages = load.Stages
-)
-
-// Span kinds of the cross-tier trace chain, client to shard.
-const (
-	TraceClientOp = obs.KindClientOp
-	TraceSubBatch = obs.KindSubBatch
-	TraceGather   = obs.KindGather
-	TraceFrame    = obs.KindFrame
-	TraceAdmit    = obs.KindAdmit
-	TraceOp       = obs.KindOp
 )
 
 // NewTraceCollector builds a disarmed collector sized for the host

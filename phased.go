@@ -23,12 +23,6 @@ type (
 	// goroutines through serving lanes, and switches the counter's mode
 	// automatically and hysteretically on live contention signals.
 	PhasedPool = phase.Pool
-	// PhaseStats is a point-in-time summary of a PhasedPool: current mode,
-	// transitions, merges, served ops, retry gauges, in-flight lanes, and
-	// the spine's current staleness (Lag).
-	PhaseStats = phase.Stats
-	// PhaseMode is the counter's current phase (PhaseJoined or PhaseSplit).
-	PhaseMode = phase.Mode
 	// PhasePolicy selects how a PhasedPool drives the mode: PhaseAuto
 	// (hysteretic controller), PhasePinJoined, or PhasePinSplit.
 	PhasePolicy = phase.Policy
@@ -68,22 +62,9 @@ func WithPhasedSeed(seed uint64) PhasedOption {
 	return func(o *phase.Options) { o.Seed = seed }
 }
 
-// WithCASSpine swaps the default AAC-tree spine for the baseline CAS-word
-// counter (whose failed-CAS gauge then feeds the controller directly).
-func WithCASSpine() PhasedOption {
-	return func(o *phase.Options) { o.CASSpine = true }
-}
-
 // WithPhasePolicy pins or automates mode control (default PhaseAuto).
 func WithPhasePolicy(p PhasePolicy) PhasedOption {
 	return func(o *phase.Options) { o.Policy = p }
-}
-
-// WithPhaseThresholds tunes the hysteresis band: a joined pool votes to
-// split at contention score ≥ enter (retries per op over the last tick),
-// a split pool votes to rejoin at ≤ exit. Defaults 0.05 and 0.01.
-func WithPhaseThresholds(enter, exit float64) PhasedOption {
-	return func(o *phase.Options) { o.EnterSplit, o.ExitSplit = enter, exit }
 }
 
 // WithReconcileEvery runs a dedicated reconciler goroutine merging every

@@ -9,10 +9,6 @@ import (
 // arbitrarily many goroutines. See doc.go ("Serving: sharded instance
 // pools") for the model and BENCHMARKS.md ("Throughput") for measurements.
 
-// Instance is one pooled object graph, exclusively held between Get and
-// Put.
-type Instance[T Resettable] = serve.Instance[T]
-
 // PoolStats summarizes pool activity (freelist hits vs overflow
 // instantiations, instances created).
 type PoolStats = serve.Stats
@@ -37,13 +33,6 @@ func WithPerShard(n int) PoolOption {
 // (and therefore its coin streams) derives.
 func WithPoolSeed(seed uint64) PoolOption {
 	return func(o *serve.Options) { o.Seed = seed }
-}
-
-// WithKeepState disables the recycle-on-Put: checkouts then observe
-// whatever state earlier holders left (accumulating services). The default
-// recycles, so every checkout gets a freshly reset graph.
-func WithKeepState() PoolOption {
-	return func(o *serve.Options) { o.KeepState = true }
 }
 
 // Pool is a sharded serving engine over one object blueprint: per-shard

@@ -46,8 +46,6 @@ type (
 	FetchInc = core.FetchInc
 	// LTAS is the linearizable ℓ-test-and-set of Algorithm 1.
 	LTAS = core.LTestAndSet
-	// Renamer is the common interface of all renaming algorithms.
-	Renamer = core.Renamer
 	// LinearizableCounter is the deterministic counter of Aspnes, Attiya
 	// and Censor [17] — the heavier baseline the paper's monotone counter
 	// improves on by a log factor.
@@ -195,7 +193,7 @@ func (o options) maker(mem Mem) tas.SidedMaker {
 		return tas.MakeUnit
 	}
 	// Register-based TAS objects are allocated in droves; the pool maker
-	// batches them on serial (simulator) runtimes.
+	// takes them from register chunks on either runtime.
 	return tas.MakeTwoProcPool(mem)
 }
 
@@ -369,12 +367,6 @@ func NewCounter(mem Mem, opts ...Option) *Counter {
 // O(log n · log v) increments — the baseline of Lemma 4's comparison.
 func NewLinearizableCounter(mem Mem, n int) *LinearizableCounter {
 	return maxreg.NewAACCounter(mem, n)
-}
-
-// NewMaxRegister builds an unbounded linearizable max register [17] with
-// O(log v) operations.
-func NewMaxRegister(mem Mem) MaxRegister {
-	return maxreg.NewUnbounded(mem)
 }
 
 // NewLTAS builds the linearizable ℓ-test-and-set of Algorithm 1: exactly

@@ -20,13 +20,8 @@ type (
 	SweepSpace = sweep.Space
 	// SweepObject is one swept object configuration.
 	SweepObject = sweep.ObjectSpec
-	// SweepAdv is one adversary-family entry of a space.
-	SweepAdv = sweep.AdvSpec
 	// SweepPlan is one crash plan of a space.
 	SweepPlan = sweep.PlanSpec
-	// SweepCrashAt is one crash point of a plan, in the same per-process
-	// completed-steps position base as FaultPlan.CrashAt.
-	SweepCrashAt = sweep.CrashAt
 	// SweepReport is the aggregate outcome: per-object statistics, order-
 	// insensitive checksums, worst cases, and harvests. Its Stable() view
 	// is bit-identical for any worker count.
