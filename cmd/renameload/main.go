@@ -18,8 +18,6 @@
 // The process exits non-zero unless the report verdict is "ok", so CI can
 // gate on it directly.
 //
-// Usage:
-//
 // With -addr the generators drive a renameserve wire server instead of
 // in-process pools: the same scenarios, the same scheduled-arrival latency
 // accounting, but every operation crosses the batched binary wire protocol.
@@ -28,7 +26,8 @@
 // cluster-wide names. Both are native-runtime only, and both refuse an
 // explicit -faults plan (fault plans arm in-process wave processes and do
 // not travel over the wire; a scenario's own catalog plan is stripped with
-// a note). -deadline arms a per-batch server-side budget; servers running
+// a note). Both also refuse a phased scenario with waves (phased-churn):
+// phased waves run in process only, and the wire has no phased-wave op. -deadline arms a per-batch server-side budget; servers running
 // admission control shed late batches typed and retryable, counted in the
 // report's sheds field without failing the verdict. -trace N arms
 // end-to-end tracing: every frame carries a trace id whose reply echoes
@@ -140,6 +139,13 @@ func main() {
 		// run. (-faults none still works — it disarms the scenario's own
 		// plan; catalog-armed plans are stripped with a note below.)
 		fmt.Fprintln(os.Stderr, "renameload: -faults cannot combine with -addr/-ring: fault plans arm in-process wave processes and do not travel over the wire (use -faults none to disarm a scenario's own plan)")
+		os.Exit(2)
+	case remote && s.Phased && s.Mix.Wave > 0:
+		// Phased waves run in process only: they check a private phased
+		// counter out and arm the scenario's plan, and the wire has no
+		// phased-wave op. Sending them as rename waves would misreport the
+		// run.
+		fmt.Fprintf(os.Stderr, "renameload: scenario %q runs phased-counter waves, which run in process only: the wire has no phased-wave op (drop -addr/-ring, or pick a scenario without waves)\n", s.Name)
 		os.Exit(2)
 	case *traceK > 0 && !remote:
 		fmt.Fprintln(os.Stderr, "renameload: -trace follows operations across the wire and needs -addr or -ring (in-process runs have no hops to trace)")

@@ -27,6 +27,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"repro/internal/rng"
 )
 
 // Node is one serving node of a ring: its position, wire address, and the
@@ -159,7 +161,7 @@ func (r *Ring) Node(i int) Node { return r.nodes[i] }
 // placement is deterministic across processes and moves only ~1/n of keys
 // when a node is appended.
 func (r *Ring) Route(key uint64) int {
-	return jump(mix64(key), len(r.nodes))
+	return jump(rng.Mix64(key), len(r.nodes))
 }
 
 // Format renders the ring in the Parse format (what renameserve -ring
@@ -171,17 +173,6 @@ func (r *Ring) Format() string {
 		fmt.Fprintf(&b, "%d %s %d %d\n", n.ID, n.Addr, n.Base, n.Span)
 	}
 	return b.String()
-}
-
-// mix64 is the SplitMix64 finalizer (same mix the serving pools use for
-// shard choice), decorrelating dense keys before bucketing.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // jump is Lamping–Veach jump consistent hashing: O(log n) expected time,

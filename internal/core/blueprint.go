@@ -153,9 +153,6 @@ func CompileStrongAdaptive(base sortnet.Base) *StrongAdaptiveBlueprint {
 	return got.(*StrongAdaptiveBlueprint)
 }
 
-// Network exposes the underlying adaptive sorting network.
-func (bp *StrongAdaptiveBlueprint) Network() *sortnet.Adaptive { return bp.ad }
-
 // Instantiate stamps the blueprint onto mem with a fresh splitter tree as
 // the TempNamer and internal two-process objects built by mk.
 func (bp *StrongAdaptiveBlueprint) Instantiate(mem shmem.Mem, mk tas.SidedMaker) *StrongAdaptive {

@@ -145,10 +145,6 @@ func (sa *StrongAdaptive) Reset() {
 	})
 }
 
-// Network exposes the underlying adaptive sorting network (benchmarks
-// report its per-level depths against Theorem 2).
-func (sa *StrongAdaptive) Network() *sortnet.Adaptive { return sa.ad }
-
 func (sa *StrongAdaptive) comp(c sortnet.Comp) tas.Sided {
 	key := c.Key()
 	if t, ok := sa.comps.Lookup(key); ok {

@@ -79,9 +79,6 @@ func New(rt shmem.Runtime, k int) *Execution {
 // K returns the execution's process count.
 func (e *Execution) K() int { return e.k }
 
-// Runtime returns the underlying runtime.
-func (e *Execution) Runtime() shmem.Runtime { return e.rt }
-
 // Faults arms plan for subsequent Runs (nil disarms — always legal, also
 // on third-party runtimes). The plan's static faults fire per run — crash
 // and stall positions are rearmed in place by each Run, so one plan drives

@@ -178,17 +178,6 @@ func (l *EventLog) Events() []Event { return l.events }
 // Len returns the number of recorded events.
 func (l *EventLog) Len() int { return len(l.events) }
 
-// Steps returns the number of recorded shared-memory steps.
-func (l *EventLog) Steps() int {
-	n := 0
-	for i := range l.events {
-		if l.events[i].Kind == EvStep {
-			n++
-		}
-	}
-	return n
-}
-
 // Decisions returns the number of recorded scheduling decisions — steps
 // plus crashes, the length of the schedule Schedule extracts.
 func (l *EventLog) Decisions() int {

@@ -89,7 +89,7 @@ func TestNativePhasedRun(t *testing.T) {
 func TestPhasedWaveExact(t *testing.T) {
 	tg := NewTarget(99)
 	const k = 6
-	if crashed := runPhasedWave(tg.PhasedWave, k, nil); crashed != 0 {
+	if crashed := tg.runPhasedWave(k, nil); crashed != 0 {
 		t.Fatalf("fault-free wave reported %d crashes", crashed)
 	}
 	in := tg.PhasedWave.Get()

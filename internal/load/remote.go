@@ -2,12 +2,13 @@ package load
 
 import "repro/internal/wire"
 
-// Remote is a transport that executes one operation against a remote
-// serving tier and blocks for its result. The wire client
-// (internal/netserve) implements it; RunRemote drives the same open- and
-// closed-loop generators over it that Run drives over in-process pools,
-// with the scheduled-arrival latency accounting unchanged — so wire and
-// in-process runs of one scenario are directly comparable.
+// Remote is a transport that executes one operation against a serving
+// tier and blocks for its result. A Target implements it in process (Op
+// is Target.Do), and the wire (internal/netserve) and cluster clients
+// across the network; Run and RunRemote drive the same open- and
+// closed-loop generators over one Remote, with the scheduled-arrival
+// latency accounting unchanged — so wire and in-process runs of one
+// scenario are directly comparable.
 //
 // code is the wire operation, key routes it to a node (transports with a
 // single server ignore it) and arg is its wire argument: the shard key for
@@ -26,9 +27,11 @@ type Remote interface {
 // Report.RemoteErrs and fail the verdict — except sheds (IsShed), which
 // are the server's admission control working as designed: they count in
 // Report.Sheds, land in the latency distribution like any completed round
-// trip, and leave the verdict alone.
+// trip, and leave the verdict alone. The wire has no phased-wave op: a
+// Phased scenario's waves are sent nowhere and each counts as a failed
+// remote operation.
 func RunRemote(s Scenario, rem Remote) *Report {
-	return run(s, nil, rem)
+	return run(s, rem)
 }
 
 // IsShed reports whether a remote operation's error was a server

@@ -57,3 +57,47 @@ func TestRunRemoteSpreadsUnkeyedOps(t *testing.T) {
 		t.Fatalf("%d renames carried a shard argument other than their routing key", rec.bad)
 	}
 }
+
+// codeRecorder is a fake Remote that counts the op codes it receives.
+type codeRecorder struct {
+	mu    sync.Mutex
+	codes map[wire.OpCode]int
+}
+
+func (r *codeRecorder) Op(code wire.OpCode, _, _ uint64) (uint64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.codes[code]++
+	return 0, nil
+}
+
+// TestRunRemotePhasedWavesNotSent: the wire has no phased-wave op, and a
+// server runs OpWave on the rename pool. A remote phased-churn run must
+// therefore send no OpWave, count each of its waves as a failed remote
+// op, and fail its verdict, while its Inc/Read still go out as phased ops.
+func TestRunRemotePhasedWavesNotSent(t *testing.T) {
+	s := shortened(t, "phased-churn", 10*time.Second)
+	s.Faults = nil
+	s.Arrival.Rate = 4000
+	s.Ops = 200
+	rec := &codeRecorder{codes: map[wire.OpCode]int{}}
+	r := RunRemote(s, rec)
+	if n := rec.codes[wire.OpWave]; n != 0 {
+		t.Fatalf("%d phased waves went over the wire as rename waves", n)
+	}
+	if r.Waves == 0 {
+		t.Fatal("the mix drew no waves")
+	}
+	if r.RemoteErrs != r.Waves {
+		t.Fatalf("%d remote errors for %d unsendable waves", r.RemoteErrs, r.Waves)
+	}
+	if r.Verdict == "ok" {
+		t.Fatal("a remote run that could not send its waves passed its verdict")
+	}
+	if rec.codes[wire.OpPhasedInc] == 0 || rec.codes[wire.OpPhasedRead] == 0 {
+		t.Fatalf("phased Inc/Read did not go out as phased ops: %v", rec.codes)
+	}
+	if n := rec.codes[wire.OpInc] + rec.codes[wire.OpRead] + rec.codes[wire.OpRename]; n != 0 {
+		t.Fatalf("%d phased-scenario ops went to the per-op pools: %v", n, rec.codes)
+	}
+}

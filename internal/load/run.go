@@ -6,89 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/phase"
 	"repro/internal/rng"
-	"repro/internal/serve"
-	"repro/internal/shmem"
-	"repro/internal/sortnet"
-	"repro/internal/tas"
 	"repro/internal/wire"
 )
-
-// Target is the served system under load: the sharded pools the generators
-// hit, plus the instantiation recipes the simulator runner stamps onto its
-// own runtime. NewTarget builds the production configuration (hardware
-// TAS, native runtimes); the facade builds one from its blueprints.
-type Target struct {
-	Rename  *serve.Pool[*core.StrongAdaptive]
-	Counter *serve.Pool[*core.MonotoneCounter]
-	// Phased serves the shared contention-adaptive phased counter (Phased
-	// scenarios route Inc/Read here; the pool's auto controller drives the
-	// split/joined mode off live contention).
-	Phased *phase.Pool
-	// PhasedWave pools per-instance phased counters for Phased Wave ops:
-	// each wave checks one out and runs a k-process execution against it
-	// with the scenario's FaultPlan armed, so crashes land inside merge
-	// windows on a private instance (the shared Phased counter's lanes stay
-	// single-writer).
-	PhasedWave *serve.Pool[*phase.Counter]
-	// NewRename and NewCounter instantiate the same object shapes on an
-	// arbitrary Mem — the simulator runner uses them (pools are native).
-	NewRename  func(mem shmem.Mem) *core.StrongAdaptive
-	NewCounter func(mem shmem.Mem) *core.MonotoneCounter
-	// NewPhased instantiates the wave-shaped phased counter on an arbitrary
-	// Mem (the simulator runner's accumulating counter).
-	NewPhased func(mem shmem.Mem) *phase.Counter
-}
-
-// Phased wave-instance shape: enough process slots for the widest catalog
-// churn, and an epoch small enough that every wave crosses merge windows
-// (where the crash plans are aimed).
-const (
-	phasedWaveLanes = 32
-	phasedWaveEpoch = 4
-)
-
-// recipes returns the default instantiation recipes: the strong adaptive
-// renamer and the monotone counter with hardware test-and-set (the
-// compiled blueprint behind the renamer is cached process-wide).
-func recipes() (newRename func(mem shmem.Mem) *core.StrongAdaptive, newCounter func(mem shmem.Mem) *core.MonotoneCounter) {
-	saBP := core.CompileStrongAdaptive(sortnet.BaseOEM)
-	newRename = func(mem shmem.Mem) *core.StrongAdaptive {
-		return saBP.Instantiate(mem, tas.MakeUnit)
-	}
-	newCounter = func(mem shmem.Mem) *core.MonotoneCounter {
-		return core.NewMonotoneCounter(mem, tas.MakeUnit)
-	}
-	return newRename, newCounter
-}
-
-// NewTarget builds the default target: pools of strong adaptive renamers
-// and monotone counters with hardware test-and-set, seeded from seed.
-func NewTarget(seed uint64) *Target {
-	newRename, newCounter := recipes()
-	newPhased := func(mem shmem.Mem) *phase.Counter {
-		return phase.NewAAC(mem, phasedWaveLanes, phasedWaveEpoch)
-	}
-	return &Target{
-		Rename:     serve.New(serve.Options{Seed: seed}, newRename),
-		Counter:    serve.New(serve.Options{Seed: seed + 1}, newCounter),
-		Phased:     phase.NewPool(phase.Options{Seed: seed + 2}),
-		PhasedWave: serve.New(serve.Options{Seed: seed + 3}, newPhased),
-		NewRename:  newRename,
-		NewCounter: newCounter,
-		NewPhased:  newPhased,
-	}
-}
-
-// The pooled per-operation bodies. Package-level funcs: passing them to
-// Pool.Do involves no closure allocation on the per-op path.
-
-func doRename(p shmem.Proc, sa *core.StrongAdaptive) { sa.Rename(p, 1) }
-func doInc(p shmem.Proc, c *core.MonotoneCounter)    { c.Inc(p) }
-func doRead(p shmem.Proc, c *core.MonotoneCounter)   { c.Read(p) }
 
 // worker is one generator goroutine's private state. Everything the per-op
 // measurement path touches lives here: the phase histograms, the arrival
@@ -125,17 +45,17 @@ func (w *worker) observe(class int, lat uint64, late uint64) {
 // the measured latency distributions. tg may be shared across runs; nil
 // builds a fresh NewTarget(s.Seed).
 func Run(s Scenario, tg *Target) *Report {
-	return run(s, tg, nil)
-}
-
-// run is the shared native runner: ops go to tg's pools in-process, or —
-// when rem is non-nil — over the remote transport (tg is then unused and
-// may be nil; the pools live behind the wire).
-func run(s Scenario, tg *Target, rem Remote) *Report {
-	s = s.withDefaults()
-	if tg == nil && rem == nil {
+	if tg == nil {
 		tg = NewTarget(s.Seed)
 	}
+	return run(s, tg)
+}
+
+// run is the shared native runner. Every op goes to rem: a Target runs
+// it in process, a wire or cluster client across the network.
+func run(s Scenario, rem Remote) *Report {
+	s = s.withDefaults()
+	tg, local := rem.(*Target)
 	prof := buildProfile(s.Arrival, s.Duration)
 
 	var z *zipf
@@ -166,7 +86,7 @@ func run(s Scenario, tg *Target, rem Remote) *Report {
 	ks := newKSampler(len(prof.classes))
 	stopSampler := make(chan struct{})
 	var samplerWG sync.WaitGroup
-	if tg != nil {
+	if local {
 		// Remote runs have no local pools to sample; the server exports the
 		// same gauges through its metrics endpoint instead.
 		samplerWG.Add(1)
@@ -206,11 +126,11 @@ func run(s Scenario, tg *Target, rem Remote) *Report {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			g := &gauges{waveExtra: &waveExtra, maxWaveK: &maxWaveK, crashes: &crashes, rem: rem, errs: &remoteErrs, sheds: &sheds}
+			g := &gauges{waveExtra: &waveExtra, maxWaveK: &maxWaveK, crashes: &crashes, rem: rem, tg: tg, errs: &remoteErrs, sheds: &sheds}
 			if w.sc != nil {
-				runOpenLoop(&s, tg, w, start, perWorkerBudget, g)
+				runOpenLoop(&s, w, start, perWorkerBudget, g)
 			} else {
-				runClosedLoop(&s, tg, w, prof, start, perWorkerBudget, g)
+				runClosedLoop(&s, w, prof, start, perWorkerBudget, g)
 			}
 		}(w)
 	}
@@ -220,7 +140,7 @@ func run(s Scenario, tg *Target, rem Remote) *Report {
 	samplerWG.Wait()
 
 	r := buildReport(&s, prof, workers, elapsed, "native", "ns", crashes.Load(), ks, int(maxWaveK.Load()))
-	if rem != nil {
+	if !local {
 		// Tag the rows so the bench trajectory can tell transports apart:
 		// "wire" unless the transport names itself (the cluster client
 		// reports "cluster").
@@ -241,12 +161,14 @@ func run(s Scenario, tg *Target, rem Remote) *Report {
 }
 
 // gauges bundles the run-wide shared counters the op path updates, plus
-// the remote transport when the run goes over a wire.
+// the transport every op goes to (tg is that transport when the run is in
+// process, nil otherwise).
 type gauges struct {
 	waveExtra *atomic.Int64
 	maxWaveK  *atomic.Int64
 	crashes   *atomic.Uint64
 	rem       Remote
+	tg        *Target
 	errs      *atomic.Uint64
 	sheds     *atomic.Uint64
 }
@@ -257,7 +179,7 @@ type gauges struct {
 // the queued-behind time lands in the latency distribution instead of
 // silently stretching the inter-arrival gaps — the coordinated-omission
 // correction.
-func runOpenLoop(s *Scenario, tg *Target, w *worker, start time.Time, budget uint64, g *gauges) {
+func runOpenLoop(s *Scenario, w *worker, start time.Time, budget uint64, g *gauges) {
 	durNs := s.Duration.Nanoseconds()
 	for budget == 0 || w.count < budget {
 		tSched, class, ok := w.sc.next()
@@ -271,8 +193,8 @@ func runOpenLoop(s *Scenario, tg *Target, w *worker, start time.Time, budget uin
 		sleepUntil(start, schedNs)
 		lateNs := time.Since(start).Nanoseconds() - schedNs
 		kind := s.Mix.pick(&w.gen)
-		key, keyed := w.target(kind)
-		runOp(s, tg, kind, tSched, key, keyed, g)
+		key, _ := w.target(kind)
+		runOp(s, kind, tSched, key, g)
 		latNs := time.Since(start).Nanoseconds() - schedNs
 		if latNs < 0 {
 			latNs = 0
@@ -289,7 +211,7 @@ func runOpenLoop(s *Scenario, tg *Target, w *worker, start time.Time, budget uin
 // runClosedLoop issues the next operation as soon as the previous one
 // completes (plus think time). Latency is pure service time; the offered
 // rate self-limits to the measured throughput.
-func runClosedLoop(s *Scenario, tg *Target, w *worker, prof *profile, start time.Time, budget uint64, g *gauges) {
+func runClosedLoop(s *Scenario, w *worker, prof *profile, start time.Time, budget uint64, g *gauges) {
 	for budget == 0 || w.count < budget {
 		off := time.Since(start)
 		if off >= s.Duration {
@@ -297,9 +219,9 @@ func runClosedLoop(s *Scenario, tg *Target, w *worker, prof *profile, start time
 		}
 		class := prof.classAt(off.Seconds())
 		kind := s.Mix.pick(&w.gen)
-		key, keyed := w.target(kind)
+		key, _ := w.target(kind)
 		t0 := time.Now()
-		runOp(s, tg, kind, off.Seconds(), key, keyed, g)
+		runOp(s, kind, off.Seconds(), key, g)
 		w.observe(class, uint64(time.Since(t0).Nanoseconds()), 0)
 		w.ops[kind]++
 		w.count++
@@ -309,167 +231,71 @@ func runClosedLoop(s *Scenario, tg *Target, w *worker, prof *profile, start time
 	}
 }
 
-// runOp executes one operation of the given kind. When keyed, the
-// per-operation kinds route through the pool's keyed checkout with the
-// drawn target as the shard key — Zipf-hot targets contend for the same
-// shard's freelist, which is exactly the hot-spot the skew scenarios
-// measure. (The shared phased counter has no per-target identity, so
-// phased Inc/Read ignore the key.)
-func runOp(s *Scenario, tg *Target, kind opKind, at float64, key uint64, keyed bool, g *gauges) {
-	if g.rem != nil {
-		runRemoteOp(s, kind, at, key, g)
-		return
-	}
-	switch kind {
-	case opRename:
-		if keyed {
-			tg.Rename.DoKeyed(key, doRename)
-		} else {
-			tg.Rename.Do(doRename)
-		}
-	case opInc:
-		switch {
-		case s.Phased:
-			tg.Phased.Inc()
-		case keyed:
-			tg.Counter.DoKeyed(key, doInc)
-		default:
-			tg.Counter.Do(doInc)
-		}
-	case opRead:
-		switch {
-		case s.Phased:
-			tg.Phased.Read()
-		case keyed:
-			tg.Counter.DoKeyed(key, doRead)
-		default:
-			tg.Counter.Do(doRead)
-		}
-	case opWave:
-		k := s.kAt(at)
-		for {
-			cur := g.maxWaveK.Load()
-			if int64(k) <= cur || g.maxWaveK.CompareAndSwap(cur, int64(k)) {
-				break
-			}
-		}
-		g.waveExtra.Add(int64(k - 1))
-		if s.Phased {
-			g.crashes.Add(runPhasedWave(tg.PhasedWave, k, s.Faults))
-		} else {
-			g.crashes.Add(runWave(tg.Rename, k, s.Faults))
-		}
-		g.waveExtra.Add(int64(1 - k))
-	}
-}
-
-// runRemoteOp executes one operation over the remote transport. The keyed
-// routing contract carries through: the drawn target rides the wire as the
-// op argument and lands on the server's keyed shard checkout, so a
-// Zipf-hot key contends on one shard there exactly as it would in-process.
-// Unkeyed ops carry their per-op key (see worker.target), so they spread
-// over shards and nodes the way in-process Do spreads over shards.
+// runOp executes one operation of the given kind: the one place an op
+// kind maps to its wire op code, routing key and argument. The per-op
+// kinds carry their key (see worker.target) both as the routing key and
+// as the shard argument, so a Zipf-hot key contends on one shard, in
+// process or on the server that owns it. The phased counter is shared and
+// has no per-target identity, so phased Inc/Read carry key 0.
+//
+// Only in-process waves take their own branch: they arm the scenario's
+// FaultPlan and count its crashes, and plans do not travel over the wire.
+// The wire has no phased-wave op, so a remote phased wave sends nothing
+// and counts as a failed remote op.
+//
 // Failures are counted (they fail the verdict); the op still lands in the
 // latency distribution — a failed round trip is still a round trip the
 // client waited for.
-func runRemoteOp(s *Scenario, kind opKind, at float64, key uint64, g *gauges) {
-	var err error
+func runOp(s *Scenario, kind opKind, at float64, key uint64, g *gauges) {
+	var code wire.OpCode
+	arg := key
 	switch kind {
 	case opRename:
-		_, err = g.rem.Op(wire.OpRename, key, key)
+		code = wire.OpRename
 	case opInc:
+		code = wire.OpInc
 		if s.Phased {
-			_, err = g.rem.Op(wire.OpPhasedInc, 0, 0)
-		} else {
-			_, err = g.rem.Op(wire.OpInc, key, key)
+			code, key, arg = wire.OpPhasedInc, 0, 0
 		}
 	case opRead:
+		code = wire.OpRead
 		if s.Phased {
-			_, err = g.rem.Op(wire.OpPhasedRead, 0, 0)
-		} else {
-			_, err = g.rem.Op(wire.OpRead, key, key)
+			code, key, arg = wire.OpPhasedRead, 0, 0
 		}
 	case opWave:
 		k := s.kAt(at)
+		if g.tg == nil && s.Phased {
+			g.errs.Add(1)
+			return
+		}
 		for {
 			cur := g.maxWaveK.Load()
 			if int64(k) <= cur || g.maxWaveK.CompareAndSwap(cur, int64(k)) {
 				break
 			}
 		}
-		_, err = g.rem.Op(wire.OpWave, 0, uint64(k))
+		if g.tg != nil {
+			g.waveExtra.Add(int64(k - 1))
+			if s.Phased {
+				g.crashes.Add(g.tg.runPhasedWave(k, s.Faults))
+			} else {
+				g.crashes.Add(g.tg.runWave(k, s.Faults))
+			}
+			g.waveExtra.Add(int64(1 - k))
+			return
+		}
+		code, key, arg = wire.OpWave, 0, uint64(k)
 	}
-	if err != nil {
+	if _, err := g.rem.Op(code, key, arg); err != nil {
 		// A shed is the server's overload control doing its job — count it
 		// as a shed (it does not fail the verdict); anything else is a hard
-		// remote error. Either way the op's round trip stays in the latency
-		// distribution: the client waited for it.
+		// remote error.
 		if IsShed(err) {
 			g.sheds.Add(1)
 		} else {
 			g.errs.Add(1)
 		}
 	}
-}
-
-// runWave checks one renamer out and runs a k-process execution wave
-// against it through the execution layer, with plan (if any) armed — the
-// crash-storm path. Returns the number of plan crashes that fired.
-func runWave(pool *serve.Pool[*core.StrongAdaptive], k int, plan *exec.FaultPlan) uint64 {
-	in := pool.Get()
-	defer in.Put() // also disarms the plan before the instance recycles
-	ex := in.Exec(k)
-	if plan != nil {
-		ex.Faults(plan)
-	}
-	sa := in.Obj
-	st := ex.Run(func(p shmem.Proc) { sa.Rename(p, uint64(p.ID())+1) })
-	var fired uint64
-	for _, c := range st.Crashed {
-		if c {
-			fired++
-		}
-	}
-	return fired
-}
-
-// runPhasedWave checks a phased counter out and runs a k-process execution
-// wave against it: every process increments across a Joined→Split→Joined
-// double transition (process 0 flips the mode mid-flight) and reads, with
-// plan (if any) armed — so injected crashes land between a cell add and its
-// spine merge, the reconciliation window the phased design must survive.
-// Returns the number of plan crashes that fired.
-func runPhasedWave(pool *serve.Pool[*phase.Counter], k int, plan *exec.FaultPlan) uint64 {
-	if k > phasedWaveLanes {
-		k = phasedWaveLanes // instance shape bounds the wave width
-	}
-	in := pool.Get()
-	defer in.Put()
-	ex := in.Exec(k)
-	if plan != nil {
-		ex.Faults(plan)
-	}
-	c := in.Obj
-	st := ex.Run(func(p shmem.Proc) {
-		if p.ID() == 0 {
-			c.SetMode(phase.Split)
-		}
-		for i := 0; i < 4; i++ {
-			c.Inc(p)
-		}
-		c.Read(p)
-		if p.ID() == 0 {
-			c.SetMode(phase.Joined)
-		}
-		c.Inc(p)
-	})
-	var fired uint64
-	for _, cr := range st.Crashed {
-		if cr {
-			fired++
-		}
-	}
-	return fired
 }
 
 // sleepUntil sleeps until offset ns after start: a coarse time.Sleep for

@@ -13,8 +13,9 @@ import (
 // draws the next operation kind from its private rng stream with these
 // weights, so the mix is deterministic per (seed, worker).
 type Mix struct {
-	// Rename checks a strong adaptive renamer out of the pool and runs one
-	// solo Rename on the instance's dedicated proc (the Pool.Do fast path).
+	// Rename checks a strong adaptive renamer out of the pool shard its key
+	// selects and runs one solo Rename on the instance's dedicated proc
+	// (Target.Do's rename).
 	Rename int `json:"rename,omitempty"`
 	// Inc runs one increment on a pooled monotone-consistent counter.
 	Inc int `json:"inc,omitempty"`
@@ -23,7 +24,8 @@ type Mix struct {
 	// Wave runs one k-process execution wave: k goroutines rename
 	// concurrently against one checked-out instance through the execution
 	// layer, with the scenario's FaultPlan (if any) armed. k is WaveK, or
-	// time-varying under Churn.
+	// time-varying under Churn. Phased scenarios' waves run on a phased
+	// counter instead, in process only (the wire has no phased-wave op).
 	Wave int `json:"wave,omitempty"`
 	// Targets is the keyed-target universe for Rename/Inc/Read when Skew
 	// is set: each such op draws a target id in [0, Targets) and routes

@@ -147,26 +147,11 @@ func RunSim(s Scenario, seed uint64) *Report {
 				maxWaveK = k
 			}
 			if pc != nil {
-				// Phased wave: k processes increment the shared phased
-				// counter across a Split→Joined transition with the
-				// scenario's plan armed — crashes land inside merge windows;
-				// idempotent merges keep the accumulating value exact.
-				if k > phasedWaveLanes {
-					k = phasedWaveLanes
-				}
-				st = waveFor(k).Run(func(p shmem.Proc) {
-					if p.ID() == 0 {
-						pc.SetMode(phase.Split)
-					}
-					for i := 0; i < 4; i++ {
-						pc.Inc(p)
-					}
-					pc.Read(p)
-					if p.ID() == 0 {
-						pc.SetMode(phase.Joined)
-					}
-					pc.Inc(p)
-				})
+				// Phased wave: k processes run the native runner's phased
+				// wave on the shared phased counter with the scenario's plan
+				// armed — crashes land inside merge windows; idempotent
+				// merges keep the accumulating value exact.
+				st = waveFor(min(k, phasedWaveLanes)).Run(func(p shmem.Proc) { phasedWave(pc, p) })
 				for pid, crashed := range st.Crashed {
 					if crashed {
 						crashes++

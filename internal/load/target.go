@@ -1,0 +1,214 @@
+package load
+
+import (
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/phase"
+	"repro/internal/serve"
+	"repro/internal/shmem"
+	"repro/internal/sortnet"
+	"repro/internal/tas"
+	"repro/internal/wire"
+)
+
+// Target is the served system: the sharded pools behind every served
+// operation, and Do, the one definition of what each wire op code does to
+// them. The wire server runs every op of every frame through Do, and the
+// harness drives a Target in process through Op, the Remote method the
+// wire and cluster clients implement too, so an op means the same thing
+// however it reaches the pools. NewTarget builds the production
+// configuration (hardware TAS, native runtimes).
+type Target struct {
+	Rename  *serve.Pool[*core.StrongAdaptive]
+	Counter *serve.Pool[*core.MonotoneCounter]
+	// Phased serves the shared contention-adaptive phased counter (the
+	// phased ops, which Phased scenarios send for Inc/Read; the pool's auto
+	// controller drives the split/joined mode off live contention).
+	Phased *phase.Pool
+	// PhasedWave pools per-instance phased counters for Phased scenarios'
+	// in-process waves: each wave checks one out and runs a k-process
+	// execution against it with the scenario's FaultPlan armed, so crashes
+	// land inside merge windows on a private instance (the shared Phased
+	// counter's lanes stay single-writer).
+	PhasedWave *serve.Pool[*phase.Counter]
+}
+
+const (
+	// Phased wave-instance shape: enough process slots for the widest
+	// catalog churn, and an epoch small enough that every wave crosses
+	// merge windows (where the crash plans are aimed).
+	phasedWaveLanes = 32
+	phasedWaveEpoch = 4
+	// maxWaveK bounds the width of a wave served through Do: wire input is
+	// untrusted, and a wave spawns k goroutines.
+	maxWaveK = 32
+)
+
+// recipes returns the default instantiation recipes: the strong adaptive
+// renamer and the monotone counter with hardware test-and-set (the
+// compiled blueprint behind the renamer is cached process-wide).
+func recipes() (newRename func(mem shmem.Mem) *core.StrongAdaptive, newCounter func(mem shmem.Mem) *core.MonotoneCounter) {
+	saBP := core.CompileStrongAdaptive(sortnet.BaseOEM)
+	newRename = func(mem shmem.Mem) *core.StrongAdaptive {
+		return saBP.Instantiate(mem, tas.MakeUnit)
+	}
+	newCounter = func(mem shmem.Mem) *core.MonotoneCounter {
+		return core.NewMonotoneCounter(mem, tas.MakeUnit)
+	}
+	return newRename, newCounter
+}
+
+// NewTarget builds the default target: pools of strong adaptive renamers
+// and monotone counters with hardware test-and-set, the shared phased
+// counter and the phased wave instances, seeded from seed.
+func NewTarget(seed uint64) *Target {
+	newRename, newCounter := recipes()
+	newPhased := func(mem shmem.Mem) *phase.Counter {
+		return phase.NewAAC(mem, phasedWaveLanes, phasedWaveEpoch)
+	}
+	return &Target{
+		Rename:     serve.New(serve.Options{Seed: seed}, newRename),
+		Counter:    serve.New(serve.Options{Seed: seed + 1}, newCounter),
+		Phased:     phase.NewPool(phase.Options{Seed: seed + 2}),
+		PhasedWave: serve.New(serve.Options{Seed: seed + 3}, newPhased),
+	}
+}
+
+// Do executes one served operation and returns its value; ok is false for
+// an op code the protocol does not define. Rename, Inc and Read check an
+// instance out of the shard arg selects, so one key's ops contend on one
+// shard, and get a fresh instance each (Put resets). A wave runs arg
+// processes, clamped to [1, maxWaveK], fault-free on one checked-out
+// renamer, and returns the width run. The phased ops ignore arg and hit
+// the shared phased counter. Rename, Inc, Read and the phased reads
+// allocate nothing.
+func (tg *Target) Do(code wire.OpCode, arg uint64) (uint64, bool) {
+	switch code {
+	case wire.OpRename:
+		return tg.rename(arg), true
+	case wire.OpInc:
+		return tg.inc(arg), true
+	case wire.OpRead:
+		return tg.read(arg), true
+	case wire.OpWave:
+		k := int(min(max(arg, 1), maxWaveK))
+		tg.runWave(k, nil)
+		return uint64(k), true
+	case wire.OpPhasedInc:
+		tg.Phased.Inc()
+		return 0, true
+	case wire.OpPhasedRead:
+		return tg.Phased.Read(), true
+	case wire.OpPhasedReadStrict:
+		return tg.Phased.ReadStrict(), true
+	}
+	return 0, false
+}
+
+// Route returns the pool shard Do(code, arg) checks out of and, for the
+// phased ops, the phased counter's live mode (0 for the other ops): the
+// span attribution of a served op, from the same op-code-to-pool mapping
+// as Do.
+func (tg *Target) Route(code wire.OpCode, arg uint64) (shard int, mode phase.Mode) {
+	switch code {
+	case wire.OpRename:
+		return tg.Rename.ShardFor(arg), 0
+	case wire.OpInc, wire.OpRead:
+		return tg.Counter.ShardFor(arg), 0
+	case wire.OpPhasedInc, wire.OpPhasedRead, wire.OpPhasedReadStrict:
+		return 0, tg.Phased.Counter().Mode()
+	}
+	return 0, 0
+}
+
+// Op implements Remote in process: Do, with the routing key unused (one
+// Target owns every key). An undefined op code is an error.
+func (tg *Target) Op(code wire.OpCode, _, arg uint64) (uint64, error) {
+	v, ok := tg.Do(code, arg)
+	if !ok {
+		return 0, fmt.Errorf("load: undefined op code %d", code)
+	}
+	return v, nil
+}
+
+// The checkout helpers: one pool checkout each, so each deferred Put is
+// open-coded, and a panic mid-operation still recycles the instance (a
+// dying connection can never leak one).
+
+func (tg *Target) rename(key uint64) uint64 {
+	in := tg.Rename.GetKeyed(key)
+	defer in.Put()
+	return in.Obj.Rename(in.Proc(), 1)
+}
+
+func (tg *Target) inc(key uint64) uint64 {
+	in := tg.Counter.GetKeyed(key)
+	defer in.Put()
+	return in.Obj.Inc(in.Proc())
+}
+
+func (tg *Target) read(key uint64) uint64 {
+	in := tg.Counter.GetKeyed(key)
+	defer in.Put()
+	return in.Obj.Read(in.Proc())
+}
+
+// runWave checks one renamer out and runs a k-process execution wave
+// against it through the execution layer, with plan (if any) armed — the
+// crash-storm path. Returns the number of plan crashes that fired.
+func (tg *Target) runWave(k int, plan *exec.FaultPlan) uint64 {
+	in := tg.Rename.Get()
+	defer in.Put() // also disarms the plan before the instance recycles
+	ex := in.Exec(k)
+	if plan != nil {
+		ex.Faults(plan)
+	}
+	sa := in.Obj
+	return countCrashes(ex.Run(func(p shmem.Proc) { sa.Rename(p, uint64(p.ID())+1) }))
+}
+
+// runPhasedWave checks a phased counter out and runs a k-process
+// execution wave of phasedWave against it (k at most phasedWaveLanes),
+// with plan (if any) armed. Returns the number of plan crashes that fired.
+func (tg *Target) runPhasedWave(k int, plan *exec.FaultPlan) uint64 {
+	in := tg.PhasedWave.Get()
+	defer in.Put()
+	ex := in.Exec(min(k, phasedWaveLanes))
+	if plan != nil {
+		ex.Faults(plan)
+	}
+	c := in.Obj
+	return countCrashes(ex.Run(func(p shmem.Proc) { phasedWave(c, p) }))
+}
+
+// phasedWave is one process's part of a phased wave: it increments across
+// a Joined→Split→Joined double transition (process 0 flips the mode
+// mid-flight) and reads, so injected crashes land between a cell add and
+// its spine merge, the reconciliation window the phased design must
+// survive. The native and simulator runners share it.
+func phasedWave(c *phase.Counter, p shmem.Proc) {
+	if p.ID() == 0 {
+		c.SetMode(phase.Split)
+	}
+	for i := 0; i < 4; i++ {
+		c.Inc(p)
+	}
+	c.Read(p)
+	if p.ID() == 0 {
+		c.SetMode(phase.Joined)
+	}
+	c.Inc(p)
+}
+
+// countCrashes counts the crashed processes of an execution.
+func countCrashes(st *shmem.Stats) uint64 {
+	var n uint64
+	for _, c := range st.Crashed {
+		if c {
+			n++
+		}
+	}
+	return n
+}

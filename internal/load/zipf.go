@@ -53,10 +53,10 @@ func (z *zipf) draw(r *rng.SplitMix64) uint64 {
 // drawn from the worker's op stream, and keyed is true. Waves have no
 // single target (k processes run against one checked-out instance) and
 // get key 0. Skew-free per-op kinds get a key derived from the worker and
-// its op count, with keyed false: in-process runs ignore it, and remote
-// runs use it to spread ops over server shards and ring nodes. Neither
-// case draws from the op stream, so skew-free op streams are bit-identical
-// to the pre-skew harness.
+// its op count, with keyed false; it spreads their ops over pool shards,
+// in process and on a server, and over ring nodes. Neither case draws
+// from the op stream, so skew-free op streams are bit-identical to the
+// pre-skew harness.
 func (w *worker) target(kind opKind) (key uint64, keyed bool) {
 	switch {
 	case kind == opWave:

@@ -3,6 +3,8 @@ package netserve
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Admission control on the server's checkout path: a service under burst
@@ -117,15 +119,6 @@ func newAdmission(cfg AdmissionConfig) *admission {
 	return a
 }
 
-// hashKey spreads a routing key over the gates (SplitMix64 finalizer —
-// the same mix the pools use for shard selection, so one key's gate and
-// pool shard stay correlated).
-func hashKey(k uint64) uint64 {
-	k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9
-	k = (k ^ (k >> 27)) * 0x94d049bb133111eb
-	return k ^ (k >> 31)
-}
-
 // acquire admits one op routed by key, waiting up to wait for a slot when
 // the gate is saturated (wait ≤ 0 means no queueing at all: shed unless a
 // slot is free right now). Returns the gate to release — nil when the op
@@ -134,7 +127,10 @@ func hashKey(k uint64) uint64 {
 // path, so the fast path stays free of time syscalls). The wait feeds the
 // reply's stage echo and, on sampled batches, a KindAdmit span.
 func (a *admission) acquire(key uint64, wait time.Duration) (*gate, time.Duration) {
-	g := &a.gates[hashKey(key)&a.mask]
+	// The gate index mixes key with rng.Mix64, as the pools' shard choice
+	// does, so with equal gate and shard counts one key's gate and pool
+	// shard coincide.
+	g := &a.gates[rng.Mix64(key)&a.mask]
 	select {
 	case <-g.slots:
 		a.admitted.Add(1)

@@ -239,3 +239,25 @@ func TestMetricsShedAlwaysPresent(t *testing.T) {
 		t.Fatalf("shed counter missing with admission off:\n%s", srv.MetricsText())
 	}
 }
+
+// TestAdmissionGateMatchesPoolShard pins the admission comment's promise:
+// the gates mix keys as the pools' shard choice does, so with equal gate
+// and shard counts a key acquires the gate at its rename shard's index.
+func TestAdmissionGateMatchesPoolShard(t *testing.T) {
+	tg := load.NewTarget(1)
+	shards := tg.Rename.Stats().Shards
+	a := newAdmission(AdmissionConfig{PerShard: 1, Shards: shards})
+	if len(a.gates) != shards {
+		t.Fatalf("%d gates for %d shards", len(a.gates), shards)
+	}
+	for key := uint64(0); key < 1000; key++ {
+		g, _ := a.acquire(key, 0)
+		if g == nil {
+			t.Fatalf("key %d shed by an idle gate set", key)
+		}
+		if want := &a.gates[tg.Rename.ShardFor(key)]; g != want {
+			t.Fatalf("key %d acquired a gate other than the one at its shard index %d", key, tg.Rename.ShardFor(key))
+		}
+		g.release()
+	}
+}

@@ -99,7 +99,6 @@ type Client struct {
 	q        []*waiter
 	flushing bool
 
-	maxBatch int
 	deadline uint64 // per-frame budget for group-committed frames, ns
 
 	// Tracing (SetTrace): with col set, every frame goes out traced — the
@@ -122,7 +121,6 @@ func NewClient(conn net.Conn) *Client {
 		conn:       conn,
 		readerDone: make(chan struct{}),
 		pending:    map[uint64]completer{},
-		maxBatch:   wire.MaxOps,
 		tnode:      -1,
 	}
 	c.waiters.New = func() any { return &waiter{done: make(chan struct{}, 1)} }
@@ -159,18 +157,6 @@ func Dial(addr string, wait time.Duration) (*Client, error) {
 			backoff *= 2
 		}
 	}
-}
-
-// SetMaxBatch caps the ops per group-committed frame (default
-// wire.MaxOps; the experiment knob behind the batch-size sweep).
-func (c *Client) SetMaxBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > wire.MaxOps {
-		n = wire.MaxOps
-	}
-	c.maxBatch = n
 }
 
 // SetOpDeadline propagates a per-frame processing budget on every
@@ -307,8 +293,8 @@ func (c *Client) flushQueue() {
 
 		for off := 0; off < len(q); {
 			n := len(q) - off
-			if n > c.maxBatch {
-				n = c.maxBatch
+			if n > wire.MaxOps {
+				n = wire.MaxOps
 			}
 			chunk := q[off : off+n]
 			off += n

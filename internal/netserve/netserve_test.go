@@ -86,7 +86,7 @@ func TestWireRoundTrip(t *testing.T) {
 	// An explicit batch: send, wait, values in op order. Each op checks a
 	// fresh instance out of the keyed shard (Put resets — the pool
 	// contract), so every inc returns 1 and every read returns 0, exactly
-	// as the in-process DoKeyed path behaves.
+	// as Target.Do behaves in process (TestTargetDoMatchesWire).
 	b := c.NewBatch().Inc(3).Inc(3).Read(3)
 	vals, err := b.Commit()
 	if err != nil {
@@ -605,6 +605,70 @@ func TestScenarioOverWire(t *testing.T) {
 	}
 	if !strings.Contains(r.GoBenchRow(), "/wire") {
 		t.Fatalf("bench row not tagged: %s", r.GoBenchRow())
+	}
+	waitInFlightZero(t, srv)
+}
+
+// TestTargetDoMatchesWire pins the single op definition: one op script
+// run through Target.Do in process and through a loopback server on a
+// second target of the same seed returns identical values. The script
+// covers every defined op code, waves whose widths clamp to [1, 32], and
+// an undefined op code, which Do refuses and the wire fails with EBadOp.
+func TestTargetDoMatchesWire(t *testing.T) {
+	const seed = 5
+	local := load.NewTarget(seed)
+	srv, err := ListenAndServe("127.0.0.1:0", load.NewTarget(seed))
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := dialTest(t, srv)
+
+	script := []wire.Op{
+		{Code: wire.OpRename, Arg: 1},
+		{Code: wire.OpRename, Arg: 2},
+		{Code: wire.OpRename, Arg: 1<<40 | 7},
+		{Code: wire.OpInc, Arg: 1},
+		{Code: wire.OpInc, Arg: 1},
+		{Code: wire.OpRead, Arg: 1},
+		{Code: wire.OpInc, Arg: 99},
+		{Code: wire.OpRead, Arg: 99},
+		{Code: wire.OpWave, Arg: 0},
+		{Code: wire.OpWave, Arg: 1000},
+		{Code: wire.OpPhasedInc},
+		{Code: wire.OpPhasedInc},
+		{Code: wire.OpPhasedRead},
+		{Code: wire.OpPhasedReadStrict},
+	}
+	for i, op := range script {
+		want, ok := local.Do(op.Code, op.Arg)
+		if !ok {
+			t.Fatalf("op %d (%s): Do refused a defined op code", i, OpName(uint8(op.Code)))
+		}
+		got, err := c.Do(op.Code, op.Arg)
+		if err != nil {
+			t.Fatalf("op %d (%s): wire: %v", i, OpName(uint8(op.Code)), err)
+		}
+		if got != want {
+			t.Fatalf("op %d (%s %d): wire returned %d, Do returned %d", i, OpName(uint8(op.Code)), op.Arg, got, want)
+		}
+		switch {
+		case op.Code == wire.OpWave && op.Arg == 0 && want != 1,
+			op.Code == wire.OpWave && op.Arg == 1000 && want != 32:
+			t.Fatalf("wave of width %d ran %d processes, want it clamped to [1, 32]", op.Arg, want)
+		case op.Code == wire.OpPhasedReadStrict && want != 2:
+			t.Fatalf("strict phased read %d after two incs, want 2", want)
+		}
+	}
+
+	const undefined = wire.OpCode(200)
+	if v, ok := local.Do(undefined, 0); ok {
+		t.Fatalf("Do ran undefined op code %d (value %d)", undefined, v)
+	}
+	_, err = c.Do(undefined, 0)
+	var werr *WireError
+	if !errors.As(err, &werr) || werr.Code != wire.EBadOp {
+		t.Fatalf("undefined op code over the wire failed with %v, want *WireError(EBadOp)", err)
 	}
 	waitInFlightZero(t, srv)
 }

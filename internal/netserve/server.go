@@ -12,11 +12,12 @@
 //   - zero-copy decode: wire.ReadFrame reads each frame into a
 //     per-connection reusable buffer and wire.Parse returns views into it;
 //     ops are consumed straight out of the read buffer, never materialized;
-//   - pooled execution: per-op kinds check instances out of the existing
-//     serve.Pool shards (GetKeyed with the client-supplied routing key, so
-//     a tenant's hot keys land on one shard exactly as in-process keyed
-//     callers do) and recycle them via the Put disarm path — a connection
-//     dying mid-batch cannot leak an instance (the op helpers Put through
+//   - pooled execution: every op runs through load.Target.Do, the one
+//     definition of the served ops, which the in-process load harness
+//     runs too. Per-op kinds check instances out of the serve.Pool shards
+//     by the client-supplied key, so a tenant's hot keys land on one shard,
+//     and recycle them via the Put disarm path — a connection dying
+//     mid-batch cannot leak an instance (Do's checkouts Put through
 //     defers);
 //   - coalesced writes: replies accumulate in a buffered writer that is
 //     flushed only when the connection's read buffer runs dry, so a
@@ -37,17 +38,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/load"
 	"repro/internal/obs"
-	"repro/internal/serve"
-	"repro/internal/shmem"
 	"repro/internal/wire"
 )
-
-// maxWaveK bounds the width of an OpWave execution: wire input is
-// untrusted, and a wave spawns k goroutines.
-const maxWaveK = 32
 
 // histMergePeriod is how many completed ops a session accumulates in its
 // private latency shard before folding it into the server's merged
@@ -148,8 +142,8 @@ func (s *Server) Tracer() *obs.Collector { return s.col }
 
 // Close stops the listener, closes every open connection, and waits for
 // the connection handlers to drain. In-flight batches on closed
-// connections are abandoned; their pool instances are still recycled (the
-// op helpers Put through defers, and no instance is held across ops).
+// connections are abandoned; their pool instances are still recycled
+// (Target.Do Puts through defers, and no instance is held across ops).
 func (s *Server) Close() error {
 	err := s.ln.Close()
 	s.cmu.Lock()
@@ -337,7 +331,7 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 			}
 			v, ok = ss.opAdmitted(g, code, arg)
 		} else {
-			v, ok = ss.op(code, arg)
+			v, ok = ss.srv.tg.Do(code, arg)
 		}
 		if !ok {
 			ss.srv.errs.Add(1)
@@ -428,94 +422,16 @@ func (ss *session) recordFrameSpan(f *wire.Frame, id uint64, t0 time.Time, dur t
 }
 
 // opAttr packs a sampled op span's attribute word: which pool shard the op
-// routed to (the pools' own ShardFor, so attribution matches execution)
-// and, for phased ops, the live phase mode.
+// routed to and, for phased ops, the live phase mode — from Target.Route,
+// so attribution and execution share one op-code-to-pool mapping.
 func (ss *session) opAttr(code wire.OpCode, arg uint64) uint64 {
-	tg := ss.srv.tg
-	node := ss.srv.node
-	switch code {
-	case wire.OpRename:
-		return obs.PackOp(uint8(code), tg.Rename.ShardFor(arg), 0, node)
-	case wire.OpInc, wire.OpRead:
-		return obs.PackOp(uint8(code), tg.Counter.ShardFor(arg), 0, node)
-	case wire.OpPhasedInc, wire.OpPhasedRead, wire.OpPhasedReadStrict:
-		return obs.PackOp(uint8(code), 0, uint8(tg.Phased.Counter().Mode()), node)
-	}
-	return obs.PackOp(uint8(code), 0, 0, node)
+	shard, mode := ss.srv.tg.Route(code, arg)
+	return obs.PackOp(uint8(code), shard, uint8(mode), ss.srv.node)
 }
 
 // opAdmitted runs one admitted operation and releases its gate slot (also
 // on panic — a dying op must not eat a slot forever).
 func (ss *session) opAdmitted(g *gate, code wire.OpCode, arg uint64) (uint64, bool) {
 	defer g.release()
-	return ss.op(code, arg)
-}
-
-// op executes one operation against the pools. The per-op kinds route by
-// the client-supplied key through the pools' keyed checkout, so one
-// tenant's hot keys contend on one shard — the same locality contract as
-// in-process DoKeyed callers.
-func (ss *session) op(code wire.OpCode, arg uint64) (uint64, bool) {
-	tg := ss.srv.tg
-	switch code {
-	case wire.OpRename:
-		return renameOp(tg.Rename, arg), true
-	case wire.OpInc:
-		return incOp(tg.Counter, arg), true
-	case wire.OpRead:
-		return readOp(tg.Counter, arg), true
-	case wire.OpWave:
-		return waveOp(tg.Rename, arg), true
-	case wire.OpPhasedInc:
-		tg.Phased.Inc()
-		return 0, true
-	case wire.OpPhasedRead:
-		return tg.Phased.Read(), true
-	case wire.OpPhasedReadStrict:
-		return tg.Phased.ReadStrict(), true
-	}
-	return 0, false
-}
-
-// The op helpers mirror serve.Pool.Do but return the operation's value.
-// Each Puts through a defer, so a panic mid-operation recycles the
-// instance exactly as the in-process Do path does — a dying connection can
-// never leak a checked-out instance.
-
-func renameOp(pool *serve.Pool[*core.StrongAdaptive], key uint64) uint64 {
-	in := pool.GetKeyed(key)
-	defer in.Put()
-	return in.Obj.Rename(in.Proc(), 1)
-}
-
-func incOp(pool *serve.Pool[*core.MonotoneCounter], key uint64) uint64 {
-	in := pool.GetKeyed(key)
-	defer in.Put()
-	return in.Obj.Inc(in.Proc())
-}
-
-func readOp(pool *serve.Pool[*core.MonotoneCounter], key uint64) uint64 {
-	in := pool.GetKeyed(key)
-	defer in.Put()
-	return in.Obj.Read(in.Proc())
-}
-
-func waveBody(p shmem.Proc, sa *core.StrongAdaptive) { sa.Rename(p, uint64(p.ID())+1) }
-
-// waveOp runs one k-process execution wave against a checked-out renamer
-// (k from the wire, clamped to [1, maxWaveK]) and returns the width
-// actually run. Waves spawn goroutines and are not part of the 0-alloc
-// pin; the per-op kinds above are.
-func waveOp(pool *serve.Pool[*core.StrongAdaptive], arg uint64) uint64 {
-	k := int(arg)
-	if k < 1 {
-		k = 1
-	}
-	if k > maxWaveK {
-		k = maxWaveK
-	}
-	in := pool.Get()
-	defer in.Put()
-	in.Execute(k, waveBody)
-	return uint64(k)
+	return ss.srv.tg.Do(code, arg)
 }

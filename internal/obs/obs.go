@@ -47,6 +47,8 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
+
+	"repro/internal/rng"
 )
 
 // Kind classifies one span: which hop of the serving path it measures.
@@ -231,7 +233,7 @@ func (c *Collector) NextTrace() uint64 {
 	id := c.ids.Add(1)
 	// Spread the dense counter through the high bits so distinct processes'
 	// ids rarely collide, while keeping the low bits dense for the mask.
-	return (mix64(id) &^ 0xffff) | (id & 0xffff) | 1<<63
+	return (rng.Mix64(id) &^ 0xffff) | (id & 0xffff) | 1<<63
 }
 
 // NextID returns a fresh process-local span id — for callers that need a
@@ -258,7 +260,7 @@ func (c *Collector) Record(s Span) uint64 {
 		s.ID = c.NextID()
 	}
 	var b byte
-	r := &c.shards[splitmix(uint64(uintptr(unsafe.Pointer(&b))))&c.smask]
+	r := &c.shards[rng.Mix64(uint64(uintptr(unsafe.Pointer(&b))))&c.smask]
 	sl := &r.buf[r.pos.Add(1)&ringMask]
 	seq := sl.seq.Load()
 	if seq&1 != 0 || !sl.seq.CompareAndSwap(seq, seq+1) {
@@ -542,16 +544,3 @@ func spanSummary(s Span, name OpNamer) string {
 	}
 	return out
 }
-
-// splitmix is the SplitMix64 finalizer (the same mix the pools and the
-// ring router use), spreading stack addresses over the shards.
-func splitmix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func mix64(x uint64) uint64 { return splitmix(x) }

@@ -201,12 +201,6 @@ func NewCAS(mem shmem.Mem, lanes, epoch int) *Counter {
 // Spine returns the authoritative spine.
 func (c *Counter) Spine() Spine { return c.spine }
 
-// Cells returns the cell count.
-func (c *Counter) Cells() int { return int(c.mask) + 1 }
-
-// Epoch returns the cooperative merge period.
-func (c *Counter) Epoch() uint64 { return c.epoch }
-
 // Mode returns the current mode.
 func (c *Counter) Mode() Mode { return Mode(c.mode.Load()) }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/rng"
 	"repro/internal/shmem"
 )
 
@@ -191,9 +192,6 @@ func NewPool(opts Options) *Pool {
 // serving surface is Inc/Read/ReadStrict).
 func (p *Pool) Counter() *Counter { return p.c }
 
-// Runtime returns the pool's native runtime.
-func (p *Pool) Runtime() *shmem.Native { return p.rt }
-
 // goroutineKey distinguishes concurrent goroutines cheaply: the address of
 // a stack slot (as in serve's shard selection). It steers lane choice
 // only; a collision costs one probe, never correctness.
@@ -202,20 +200,13 @@ func goroutineKey() uint64 {
 	return uint64(uintptr(unsafe.Pointer(&b)))
 }
 
-// hashKey spreads a key over the lanes (SplitMix64 finalizer).
-func hashKey(k uint64) uint64 {
-	k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9
-	k = (k ^ (k >> 27)) * 0x94d049bb133111eb
-	return k ^ (k >> 31)
-}
-
 // lease acquires a lane by hashed goroutine identity with linear probing.
 // Every failed lease CAS bumps the probed lane's retry counter — that IS
 // the contention signal, measured exactly where it occurs. A full sweep
 // without a free lane yields the processor (every lane busy means more
 // runnable goroutines than lanes).
 func (p *Pool) lease() *lane {
-	h := hashKey(goroutineKey())
+	h := rng.Mix64(goroutineKey())
 	for i := uint64(0); ; i++ {
 		ln := &p.lanes[(h+i)&p.mask]
 		if ln.leased.CompareAndSwap(0, 1) {

@@ -41,6 +41,7 @@ import (
 	"unsafe"
 
 	"repro/internal/exec"
+	"repro/internal/rng"
 	"repro/internal/shmem"
 )
 
@@ -319,13 +320,6 @@ func goroutineKey() uint64 {
 	return uint64(uintptr(unsafe.Pointer(&b)))
 }
 
-// hashKey spreads a key over the shards (SplitMix64 finalizer).
-func hashKey(k uint64) uint64 {
-	k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9
-	k = (k ^ (k >> 27)) * 0x94d049bb133111eb
-	return k ^ (k >> 31)
-}
-
 // Get checks out an instance, selecting the shard by a cheap
 // per-goroutine hash. The caller owns the instance until Put.
 func (p *Pool[T]) Get() *Instance[T] {
@@ -336,13 +330,13 @@ func (p *Pool[T]) Get() *Instance[T] {
 // attribution hook the tracing layer stamps into op spans, so a slow op's
 // span names the same shard the op actually contended on.
 func (p *Pool[T]) ShardFor(key uint64) int {
-	return int(hashKey(key) & p.mask)
+	return int(rng.Mix64(key) & p.mask)
 }
 
 // GetKeyed is Get with an explicit shard-selection key (a process id, a
 // connection id — anything roughly uniform).
 func (p *Pool[T]) GetKeyed(key uint64) *Instance[T] {
-	s := &p.shards[hashKey(key)&p.mask]
+	s := &p.shards[rng.Mix64(key)&p.mask]
 	in := s.pop()
 	if in == nil {
 		// Shard ran dry: instantiate from the cached blueprint. The new
@@ -366,18 +360,6 @@ func (p *Pool[T]) GetKeyed(key uint64) *Instance[T] {
 // checkout.
 func (p *Pool[T]) Do(fn func(px shmem.Proc, obj T)) {
 	in := p.Get()
-	defer in.Put()
-	fn(in.Proc(), in.Obj)
-}
-
-// DoKeyed is Do with an explicit shard-selection key: callers with a
-// natural operation identity (a Zipf-drawn target id, a connection id)
-// route same-key operations to the same shard, so a skewed key
-// distribution produces the hot-shard contention it would on a real
-// keyed service instead of being laundered uniform by the per-goroutine
-// hash.
-func (p *Pool[T]) DoKeyed(key uint64, fn func(px shmem.Proc, obj T)) {
-	in := p.GetKeyed(key)
 	defer in.Put()
 	fn(in.Proc(), in.Obj)
 }

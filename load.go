@@ -22,9 +22,9 @@ type (
 	// achieved-vs-offered rates, live-contention samples, and a verdict;
 	// serializable to JSON.
 	LoadReport = load.Report
-	// LoadTarget is the served system a scenario runs against: the rename
-	// and counter pools plus the instantiation recipes the simulator
-	// runner uses.
+	// LoadTarget is the served system a scenario runs against: the rename,
+	// counter and phased-counter pools, and Do, the one definition of every
+	// served operation (the wire server runs each op through it too).
 	LoadTarget = load.Target
 )
 

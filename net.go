@@ -36,10 +36,10 @@ type (
 	WireError = netserve.WireError
 	// WireDroppedError reports a dropped connection's in-flight tail.
 	WireDroppedError = netserve.DroppedError
-	// RemoteTransport executes single operations against a remote serving
-	// tier: Op takes a WireOp, a routing key and the op's wire argument.
-	// WireClient and ClusterClient implement it (RunScenarioRemote drives
-	// it).
+	// RemoteTransport executes single operations against a serving tier:
+	// Op takes a WireOp, a routing key and the op's wire argument.
+	// WireClient and ClusterClient implement it, and so does LoadTarget in
+	// process (RunScenarioRemote drives it).
 	RemoteTransport = load.Remote
 )
 
@@ -74,7 +74,9 @@ func DialWire(addr string, wait time.Duration) (*WireClient, error) {
 
 // RunScenarioRemote executes a scenario over a remote transport with the
 // harness's scheduling and latency accounting unchanged — the wire
-// counterpart of RunScenario. Failed remote operations fail the verdict.
+// counterpart of RunScenario. Failed remote operations fail the verdict,
+// and so does a phased scenario with waves, whose phased waves have no
+// wire op and are not sent.
 func RunScenarioRemote(s Scenario, rem RemoteTransport) *LoadReport {
 	return load.RunRemote(s, rem)
 }
