@@ -96,16 +96,39 @@ func BenchmarkSharedAACIncThroughput(b *testing.B) {
 	})
 }
 
+// serialIncRange is the count range the serial A/B rows measure. An AAC
+// increment costs more steps the larger the count, so a row that kept one
+// counter for its whole loop would let a faster build climb to larger
+// values and pay for it; both rows reset their counter (untimed) every
+// serialIncRange increments, so every build measures [0, serialIncRange).
+const serialIncRange = 1 << 16
+
+// serialIncs runs b.N increments of c by p, resetting c every
+// serialIncRange increments with the timer stopped. It loops over b.N
+// rather than b.Loop: in Go 1.24 a b.Loop stops only once the time since
+// the last StartTimer reaches -benchtime, which a reset every 65,536
+// increments never lets happen.
+func serialIncs(b *testing.B, c interface {
+	Inc(renaming.Proc)
+	Reset()
+}, p renaming.Proc) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		c.Inc(p)
+		if i%serialIncRange == 0 {
+			b.StopTimer()
+			c.Reset()
+			b.StartTimer()
+		}
+	}
+}
+
 // BenchmarkPhasedIncJoined is the serial A/B leg: a bare phased counter in
 // joined mode — the spine's increment plus exactly one atomic mode load.
 func BenchmarkPhasedIncJoined(b *testing.B) {
 	rt := renaming.NewNative(1).(*renaming.Native)
-	c := renaming.NewPhasedCounter(rt, 8, 1024)
-	p := rt.NewProc(0)
-	b.ReportAllocs()
-	for b.Loop() {
-		c.Inc(p)
-	}
+	serialIncs(b, renaming.NewPhasedCounter(rt, 8, 1024), rt.NewProc(0))
 }
 
 // BenchmarkAACIncSerial is the other A/B leg: the same merge-layout AAC
@@ -113,12 +136,7 @@ func BenchmarkPhasedIncJoined(b *testing.B) {
 // within the documented ~2% of this row.
 func BenchmarkAACIncSerial(b *testing.B) {
 	rt := renaming.NewNative(1).(*renaming.Native)
-	c := renaming.NewPhasedCounter(rt, 8, 1024).Spine()
-	p := rt.NewProc(0)
-	b.ReportAllocs()
-	for b.Loop() {
-		c.Inc(p)
-	}
+	serialIncs(b, renaming.NewPhasedCounter(rt, 8, 1024).Spine(), rt.NewProc(0))
 }
 
 // BenchmarkPhasedIncSplit is the serial split-mode cost: one padded cell

@@ -145,11 +145,37 @@ func runNativeRecorded(t *testing.T, k int, seed uint64, plan *FaultPlan) (*Even
 	return log, st, names
 }
 
+// runAACRecorded records one execution on rt in which each of k processes
+// increments a merge-layout AAC counter and reads it back, bracketing both
+// with counter marks. It returns each process's Read and ReadJoined values
+// in order.
+func runAACRecorded(rt shmem.Runtime, k int) (*EventLog, *shmem.Stats, [][]uint64) {
+	ex := New(rt, k)
+	log := ex.Record()
+	c := maxreg.NewAACCounterWithMerge(rt, k, k)
+	reads := make([][]uint64, k)
+	st := ex.Run(func(p shmem.Proc) {
+		id := p.ID()
+		for range 4 {
+			ex.MarkIncStart(p)
+			c.Inc(p)
+			ex.MarkIncEnd(p)
+			ex.MarkReadStart(p)
+			v := c.Read(p)
+			ex.MarkRead(p, v)
+			reads[id] = append(reads[id], v, c.ReadJoined(p))
+		}
+	})
+	return log, st, reads
+}
+
 // TestNativeRecordReplaysOnSim is the headline contract of the execution
 // layer: an execution recorded on the native runtime — whichever
 // interleaving the hardware produced — replays bit-identically on the
 // simulator through sim.FromTrace: same names, same per-process operation
-// counts, same recorded events, checker-clean.
+// counts, same recorded events, checker-clean. The second input, an AAC
+// counter, runs max-register walks whose writes mostly rewrite a held
+// switch or spine bit, which the native registers do not store.
 func TestNativeRecordReplaysOnSim(t *testing.T) {
 	for _, k := range []int{2, 4, 8} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -176,6 +202,26 @@ func TestNativeRecordReplaysOnSim(t *testing.T) {
 			}
 			if err := CheckRenamingTrace(relog); err != nil {
 				t.Fatalf("k=%d seed=%d: replayed execution not valid: %v", k, seed, err)
+			}
+
+			log, st, reads := runAACRecorded(shmem.NewNative(seed), k)
+			if err := CheckCounterTrace(log); err != nil {
+				t.Fatalf("k=%d seed=%d: recorded native AAC counter not monotone-consistent: %v", k, seed, err)
+			}
+			relog, rst, rereads := runAACRecorded(Replay(log), k)
+			if !reflect.DeepEqual(reads, rereads) {
+				t.Fatalf("k=%d seed=%d: AAC replay reads %v != native reads %v", k, seed, rereads, reads)
+			}
+			if !reflect.DeepEqual(st.PerProc, rst.PerProc) {
+				t.Fatalf("k=%d seed=%d: AAC replay per-proc counts diverged\nnative: %+v\nreplay: %+v", k, seed, st.PerProc, rst.PerProc)
+			}
+			// Marks taken before a process's first step may land in another
+			// order on the simulator, so the logs are compared by schedule.
+			if !reflect.DeepEqual(log.Schedule(), relog.Schedule()) {
+				t.Fatalf("k=%d seed=%d: AAC replay ran a different schedule (%d vs %d decisions)", k, seed, relog.Decisions(), log.Decisions())
+			}
+			if err := CheckCounterTrace(relog); err != nil {
+				t.Fatalf("k=%d seed=%d: replayed AAC counter not monotone-consistent: %v", k, seed, err)
 			}
 		}
 	}

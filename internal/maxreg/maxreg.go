@@ -20,6 +20,7 @@
 package maxreg
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -111,21 +112,27 @@ func (b *Bounded) Reset() {
 	}
 }
 
-func (b *Bounded) children() (*Bounded, *Bounded) {
+// children returns a wide tree's two subtrees. The load is inlined into
+// the walks; only the first call on a node takes the lock and allocates.
+func (b *Bounded) children() *boundedKids {
 	if k := b.kids.Load(); k != nil {
-		return k.left, k.right
+		return k
 	}
+	return b.allocChildren()
+}
+
+func (b *Bounded) allocChildren() *boundedKids {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if k := b.kids.Load(); k != nil {
-		return k.left, k.right
+		return k
 	}
 	k := &boundedKids{
 		left:  NewBounded(b.mem, b.half()),
 		right: NewBounded(b.mem, b.m-b.half()),
 	}
 	b.kids.Store(k)
-	return k.left, k.right
+	return k
 }
 
 // WriteMax raises the register to at least v. Cost: O(log m) steps.
@@ -137,14 +144,14 @@ func (b *Bounded) WriteMax(p shmem.Proc, v uint64) {
 		b.writeFlat(p, 0, b.m, v)
 		return
 	}
-	left, right := b.children()
+	k := b.children()
 	if v < b.half() {
 		if b.high.Read(p) == 0 {
-			left.WriteMax(p, v)
+			k.left.WriteMax(p, v)
 		}
 		return
 	}
-	right.WriteMax(p, v-b.half())
+	k.right.WriteMax(p, v-b.half())
 	b.high.Write(p, 1)
 }
 
@@ -169,23 +176,26 @@ func (b *Bounded) writeFlat(p shmem.Proc, lo, hi, v uint64) {
 
 // ReadMax returns the current maximum. Cost: O(log m) steps.
 func (b *Bounded) ReadMax(p shmem.Proc) uint64 {
-	if b.m <= flatWidth {
-		lo, hi := uint64(0), b.m
-		for hi-lo > 1 {
-			mid := lo + (hi-lo+1)/2
-			if shmem.FastAt(b.sw, int(mid-1)).Read(p) == 1 {
-				lo = mid
-			} else {
-				hi = mid
-			}
+	var base uint64
+	for b.m > flatWidth {
+		k := b.children()
+		if b.high.Read(p) == 1 {
+			base += b.half()
+			b = k.right
+		} else {
+			b = k.left
 		}
-		return lo
 	}
-	left, right := b.children()
-	if b.high.Read(p) == 1 {
-		return b.half() + right.ReadMax(p)
+	lo, hi := uint64(0), b.m
+	for hi-lo > 1 {
+		mid := lo + (hi-lo+1)/2
+		if shmem.FastAt(b.sw, int(mid-1)).Read(p) == 1 {
+			lo = mid
+		} else {
+			hi = mid
+		}
 	}
-	return left.ReadMax(p)
+	return base + lo
 }
 
 // Unbounded chains bounded trees of doubling width along a spine. Spine
@@ -200,8 +210,7 @@ type Unbounded struct {
 	mem shmem.Mem
 
 	// The spine only grows; it is published copy-on-write through an atomic
-	// pointer so the per-operation node lookups (every ReadMax starts at
-	// spine node 0) take no lock.
+	// pointer, so an operation loads it once and walks it without a lock.
 	mu    sync.Mutex
 	spine atomic.Pointer[[]*spineNode]
 }
@@ -218,15 +227,17 @@ func NewUnbounded(mem shmem.Mem) *Unbounded {
 	return &Unbounded{mem: mem}
 }
 
-// node returns spine node j, allocating the prefix lazily.
-func (u *Unbounded) node(j int) *spineNode {
-	if arr := u.spine.Load(); arr != nil && j < len(*arr) {
-		return (*arr)[j]
+// load returns the published spine. It is inlined into the walks; a walk
+// that needs node j past its end calls grow.
+func (u *Unbounded) load() []*spineNode {
+	if arr := u.spine.Load(); arr != nil {
+		return *arr
 	}
-	return u.grow(j)
+	return nil
 }
 
-func (u *Unbounded) grow(j int) *spineNode {
+// grow allocates the spine lazily up to node j and returns it.
+func (u *Unbounded) grow(j int) []*spineNode {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	var cur []*spineNode
@@ -234,7 +245,7 @@ func (u *Unbounded) grow(j int) *spineNode {
 		cur = *arr
 	}
 	if j < len(cur) {
-		return cur[j]
+		return cur
 	}
 	next := make([]*spineNode, len(cur), j+1)
 	copy(next, cur)
@@ -246,17 +257,13 @@ func (u *Unbounded) grow(j int) *spineNode {
 		})
 	}
 	u.spine.Store(&next)
-	return next[j]
+	return next
 }
 
 // Reset restores the register to its initial (empty) state, keeping the
 // allocated spine. Between executions only.
 func (u *Unbounded) Reset() {
-	arr := u.spine.Load()
-	if arr == nil {
-		return
-	}
-	for _, n := range *arr {
+	for _, n := range u.load() {
 		n.deeper.Restore(0)
 		n.tree.Reset()
 	}
@@ -265,14 +272,9 @@ func (u *Unbounded) Reset() {
 // base returns the smallest value stored at spine node j: 2^j − 1.
 func base(j int) uint64 { return uint64(1)<<uint(j) - 1 }
 
-// level returns the spine node whose range contains v.
-func level(v uint64) int {
-	j := 0
-	for v >= base(j+1) {
-		j++
-	}
-	return j
-}
+// level returns the spine node whose range contains v: the j with
+// 2^j ≤ v+1 < 2^(j+1).
+func level(v uint64) int { return bits.Len64(v+1) - 1 }
 
 // WriteMax raises the register to at least v.
 func (u *Unbounded) WriteMax(p shmem.Proc, v uint64) {
@@ -280,19 +282,28 @@ func (u *Unbounded) WriteMax(p shmem.Proc, v uint64) {
 		panic("maxreg: value too large")
 	}
 	j := level(v)
-	u.node(j).tree.WriteMax(p, v-base(j))
+	spine := u.load()
+	if j >= len(spine) {
+		spine = u.grow(j)
+	}
+	spine[j].tree.WriteMax(p, v-base(j))
 	// Deep-first bit setting: a reader that sees deeper=1 at node i < j
 	// will find every bit up to j−1 already set and reach the full value.
 	for i := j - 1; i >= 0; i-- {
-		u.node(i).deeper.Write(p, 1)
+		spine[i].deeper.Write(p, 1)
 	}
 }
 
-// ReadMax returns the current maximum.
+// ReadMax returns the current maximum. The spine is loaded once; grow runs
+// only when the walk passes its end.
 func (u *Unbounded) ReadMax(p shmem.Proc) uint64 {
-	j := 0
-	for u.node(j).deeper.Read(p) == 1 {
-		j++
+	spine := u.load()
+	for j := 0; ; j++ {
+		if j == len(spine) {
+			spine = u.grow(j)
+		}
+		if spine[j].deeper.Read(p) != 1 {
+			return base(j) + spine[j].tree.ReadMax(p)
+		}
 	}
-	return base(j) + u.node(j).tree.ReadMax(p)
 }

@@ -13,11 +13,17 @@ import "sync/atomic"
 // FastReg removes both dispatches for the monomorphic case: a handle that,
 // when the register belongs to the native runtime (individually allocated or
 // RegArena-backed — both layouts expose the same atomic word), holds a
-// direct pointer to the word, so Read/Write/CompareAndSwap compile to an
-// inlinable nil-check plus a sync/atomic operation, and the step accounting
-// goes through a direct call on *NativeProc. Registers from any other Mem
-// (the simulator, third-party runtimes) take the original interface path,
-// bit-identical to before — the reuse-equivalence tests pin this down.
+// direct pointer to the word. Each native step is then one call: the
+// FastReg method itself is too large to inline (its interface fallback
+// alone exceeds the budget), but the compiler inlines (*NativeProc).Step
+// into it, so the step costs the call, a type test, a counter increment
+// and the memory operation, with at most one locked instruction. A proc
+// behind a step hook (see hook.go) fails the type test and accounts
+// through its interface. Writes go through storeWord, which skips the
+// locked store when the word already holds the value. Registers from any
+// other Mem (the simulator, third-party runtimes) take the original
+// interface path, bit-identical to before — the reuse-equivalence tests
+// pin this down.
 //
 // tas, splitter, maxreg and core store FastReg in place of Reg/CASReg on
 // their hot-path fields; construction wraps once via Fast at instantiation
@@ -47,38 +53,56 @@ func Fast(r Reg) FastReg {
 	return FastReg{slow: r}
 }
 
-// FastAt is Fast(a.Reg(i)) without the intermediate interface conversion.
+// FastAt is Fast(a.Reg(i)), indexing the native arenas directly.
 func FastAt(a RegArena, i int) FastReg {
+	switch t := a.(type) {
+	case nativeArena:
+		return FastReg{w: &t[i].v}
+	case nativePaddedArena:
+		return FastReg{w: &t[i].v}
+	}
 	return Fast(a.Reg(i))
 }
 
 // Read performs one read step.
 func (r FastReg) Read(p Proc) uint64 {
-	if r.w != nil {
-		stepFast(p, OpRead)
-		return r.w.Load()
+	if r.w == nil {
+		return r.slow.Read(p)
 	}
-	return r.slow.Read(p)
+	if np, ok := p.(*NativeProc); ok {
+		np.Step(OpRead)
+	} else {
+		p.Step(OpRead)
+	}
+	return r.w.Load()
 }
 
 // Write performs one write step.
 func (r FastReg) Write(p Proc, v uint64) {
-	if r.w != nil {
-		stepFast(p, OpWrite)
-		r.w.Store(v)
+	if r.w == nil {
+		r.slow.Write(p, v)
 		return
 	}
-	r.slow.Write(p, v)
+	if np, ok := p.(*NativeProc); ok {
+		np.Step(OpWrite)
+	} else {
+		p.Step(OpWrite)
+	}
+	storeWord(r.w, v)
 }
 
 // CompareAndSwap performs one unit-cost CAS step. The underlying register
 // must support it (both runtimes' registers do).
 func (r FastReg) CompareAndSwap(p Proc, old, new uint64) bool {
-	if r.w != nil {
-		stepFast(p, OpCAS)
-		return r.w.CompareAndSwap(old, new)
+	if r.w == nil {
+		return r.slow.(CASReg).CompareAndSwap(p, old, new)
 	}
-	return r.slow.(CASReg).CompareAndSwap(p, old, new)
+	if np, ok := p.(*NativeProc); ok {
+		np.Step(OpCAS)
+	} else {
+		p.Step(OpCAS)
+	}
+	return r.w.CompareAndSwap(old, new)
 }
 
 // Restore resets the register between executions (no step accounting).
@@ -90,13 +114,29 @@ func (r FastReg) Restore(v uint64) {
 	r.slow.(Restorer).Restore(v)
 }
 
-// stepFast accounts one step, devirtualized for native procs.
+// stepFast accounts one step, devirtualized for native procs. It does not
+// inline, so the FastReg methods repeat its body rather than call it; the
+// Cells methods, one step each, call it.
 func stepFast(p Proc, op Op) {
 	if np, ok := p.(*NativeProc); ok {
 		np.Step(op)
 		return
 	}
 	p.Step(op)
+}
+
+// storeWord is the memory half of a native write step: it stores v only if
+// the word holds something else. A plain Store is a locked exchange on
+// amd64, and max registers mostly rewrite switch and spine bits that are
+// already 1. Skipping it keeps the write linearizable: a write of the held
+// value takes effect at the load that saw that value. Under trace
+// recording the load and the store both happen inside the step's recorded
+// window (internal/exec holds its ordering lock until the process's next
+// step), so replay sees the same order.
+func storeWord(w *atomic.Uint64, v uint64) {
+	if w.Load() != v {
+		w.Store(v)
+	}
 }
 
 // NoteFast is p.Note, devirtualized for native procs. Hot loops that note an

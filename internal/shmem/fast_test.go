@@ -52,7 +52,8 @@ func (lockedMem) NewCASReg(init uint64) CASReg { return &lockedReg{v: init} }
 
 // TestFastRegNativePath pins the devirtualized path: a native register
 // wrapped in Fast must expose the atomic word directly and keep exact step
-// accounting through the direct NativeProc call.
+// accounting through the direct NativeProc call. A write of the value the
+// register already holds stores nothing but still counts its write step.
 func TestFastRegNativePath(t *testing.T) {
 	for _, pad := range []bool{false, true} {
 		rt := NewNative(1, WithRegisterPadding(pad))
@@ -67,6 +68,16 @@ func TestFastRegNativePath(t *testing.T) {
 			}
 			if got, want := p.(*NativeProc).StepsTaken(), uint64(3); got != want {
 				t.Errorf("pad=%v: %d steps accounted, want %d", pad, got, want)
+			}
+			before := p.(*NativeProc).Counts()
+			f.Write(p, 12)
+			after := p.(*NativeProc).Counts()
+			if got := f.w.Load(); got != 12 {
+				t.Errorf("pad=%v: word after a held-value write = %d, want 12", pad, got)
+			}
+			before.Ops[OpWrite]++
+			if after != before {
+				t.Errorf("pad=%v: held-value write accounted %+v, want one more OpWrite than %+v", pad, after, before)
 			}
 		})
 		f.Restore(0)

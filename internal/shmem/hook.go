@@ -7,9 +7,9 @@ package shmem
 // perform a shared-memory operation, before the operation happens and
 // before it is accounted — but costs nothing when disarmed: hook dispatch
 // is type-based, not branch-based. An armed execution runs its body behind
-// a hookedProc wrapper, so the disarmed NativeProc step path (the one the
-// devirtualized register handles inline against) is not touched at all —
-// zero added instructions for the native hot loop and the serving pools.
+// a hookedProc wrapper, so the disarmed NativeProc step path (the Step the
+// compiler inlines into the FastReg methods) is not touched at all — zero
+// added instructions for the native hot loop and the serving pools.
 
 // StepHook observes (and may veto) a native process's shared-memory steps.
 // Implementations live in internal/exec; they are invoked on the process's
@@ -34,10 +34,9 @@ type StepHook interface {
 type stepCrash struct{}
 
 // hookedProc is the armed execution context: it forwards the Proc surface
-// to the underlying NativeProc and interposes the hook on Step. Register
-// implementations reach it through their interface fallback paths (the
-// *NativeProc devirtualizations in fast.go and sim.go deliberately fail on
-// it), so algorithm code runs unchanged.
+// to the underlying NativeProc and interposes the hook on Step. Registers
+// account its steps through the Proc interface (the *NativeProc type tests
+// in fast.go deliberately fail on it), so algorithm code runs unchanged.
 type hookedProc struct {
 	p    *NativeProc
 	hook StepHook

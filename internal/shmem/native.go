@@ -109,7 +109,7 @@ func (n *Native) Run(k int, body func(p Proc)) *Stats {
 // derives from (seed, id), exactly as Run derives the stream of process id.
 // A NativeProc must only be used by one goroutine at a time.
 func (n *Native) NewProc(id int) *NativeProc {
-	return &NativeProc{id: id, rt: n, rng: rng.Derived(n.seed, uint64(id))}
+	return &NativeProc{id: id, rt: n, ts: n.ts, rng: rng.Derived(n.seed, uint64(id))}
 }
 
 // RunGroup is a reusable execution context for repeated Run calls against
@@ -170,7 +170,7 @@ func (g *RunGroup) Run(body func(p Proc)) *Stats {
 		p.id = i
 		p.rng = rng.Derived(g.n.seed, uint64(i))
 		p.rt = g.n
-		p.steps = 0
+		p.ts = g.n.ts
 		p.counts = OpCounts{}
 		go func() {
 			defer wg.Done()
@@ -196,7 +196,7 @@ func (r *nativeReg) Read(p Proc) uint64 {
 
 func (r *nativeReg) Write(p Proc, v uint64) {
 	p.Step(OpWrite)
-	r.v.Store(v)
+	storeWord(&r.v, v)
 }
 
 func (r *nativeReg) CompareAndSwap(p Proc, old, new uint64) bool {
@@ -223,7 +223,7 @@ func (r *nativeRegPadded) Read(p Proc) uint64 {
 
 func (r *nativeRegPadded) Write(p Proc, v uint64) {
 	p.Step(OpWrite)
-	r.v.Store(v)
+	storeWord(&r.v, v)
 }
 
 func (r *nativeRegPadded) CompareAndSwap(p Proc, old, new uint64) bool {
@@ -249,14 +249,12 @@ func (a nativeArena) Len() int            { return len(a) }
 func (a nativeArena) Reg(i int) Reg       { return &a[i] }
 func (a nativeArena) CASReg(i int) CASReg { return &a[i] }
 
-// Reset stores only the registers that read nonzero: a plain Store is a
-// locked exchange on amd64, and serving pools sweep their arenas on every
-// Put while an operation dirties only a few registers.
+// Reset stores only the registers that read nonzero (storeWord): serving
+// pools sweep their arenas on every Put while an operation dirties only a
+// few registers.
 func (a nativeArena) Reset() {
 	for i := range a {
-		if a[i].v.Load() != 0 {
-			a[i].v.Store(0)
-		}
+		storeWord(&a[i].v, 0)
 	}
 }
 
@@ -269,9 +267,7 @@ func (a nativePaddedArena) CASReg(i int) CASReg { return &a[i] }
 // Reset stores only the registers that read nonzero (see nativeArena).
 func (a nativePaddedArena) Reset() {
 	for i := range a {
-		if a[i].v.Load() != 0 {
-			a[i].v.Store(0)
-		}
+		storeWord(&a[i].v, 0)
 	}
 }
 
@@ -282,8 +278,8 @@ func (a nativePaddedArena) Reset() {
 type NativeProc struct {
 	id     int
 	rt     *Native
+	ts     bool // rt.ts, copied so a step reads no other object
 	rng    rng.SplitMix64
-	steps  uint64
 	counts OpCounts
 	_      [64]byte // keep adjacent procs' counters off each other's lines
 }
@@ -297,15 +293,15 @@ func (p *NativeProc) Coin(n uint64) uint64 {
 	return p.rng.Uint64n(n)
 }
 
-// Step accounts for one shared-memory operation. Fault injection and trace
+// Step accounts for one shared-memory operation: one counter increment,
+// plus the shared clock tick WithTimestamps. Fault injection and trace
 // recording do not touch this path: executions with a StepHook armed run
-// their bodies behind a hookedProc wrapper (see hook.go), so the disarmed
-// step stays small enough to inline behind the devirtualized register
-// calls — zero added cost to the native hot loop and the serving pools.
+// their bodies behind a hookedProc wrapper (see hook.go). The compiler
+// inlines Step into the FastReg methods, so a native register step is one
+// call (see fast.go).
 func (p *NativeProc) Step(op Op) {
 	p.counts.Ops[op]++
-	p.steps++
-	if p.rt.ts {
+	if p.ts {
 		p.rt.clock.Add(1)
 	}
 }
@@ -320,16 +316,16 @@ func (p *NativeProc) Note(ev Event) {
 // count is monotone per process but not comparable across processes — the
 // documented trade for a contention-free step path.
 func (p *NativeProc) Now() uint64 {
-	if p.rt.ts {
+	if p.ts {
 		return p.rt.clock.Load()
 	}
-	return p.steps
+	return p.counts.Steps()
 }
 
 // StepsTaken returns the process's own running step count (used by the
 // benchmark harness to attribute costs to individual operations).
 func (p *NativeProc) StepsTaken() uint64 {
-	return p.steps
+	return p.counts.Steps()
 }
 
 // Counts returns a copy of the proc's accounting record (serving loops
@@ -346,6 +342,5 @@ func (p *NativeProc) Counts() OpCounts {
 // pooled bit-identical-reuse contract. Between operations only.
 func (p *NativeProc) Reset() {
 	p.rng = rng.Derived(p.rt.seed, uint64(p.id))
-	p.steps = 0
 	p.counts = OpCounts{}
 }

@@ -144,23 +144,61 @@ func TestNativeNowWithTimestamps(t *testing.T) {
 }
 
 // TestNativeNowLocalByDefault checks the contention-free default: Now is the
-// process's own step count, monotone per process.
+// process's own step count, monotone per process, and it and StepsTaken
+// both read the one count the proc keeps, Counts().Steps(). A second Run on
+// the same group and a Reset standalone proc start that count from zero.
 func TestNativeNowLocalByDefault(t *testing.T) {
 	const k = 4
 	rt := NewNative(3)
 	r := rt.NewReg(0)
-	bad := make([]bool, k)
-	rt.Run(k, func(p Proc) {
-		for i := uint64(1); i <= 50; i++ {
-			r.Read(p)
-			if p.Now() != i {
-				bad[p.ID()] = true
+	f := Fast(rt.NewReg(0))
+	// steps takes n rounds of one read, write and CAS step through each
+	// register path and reports whether the proc's clocks stayed equal to
+	// its step count throughout.
+	steps := func(p Proc, n int) bool {
+		np := p.(*NativeProc)
+		ok := true
+		check := func(want uint64) {
+			c := np.Counts()
+			if np.Now() != want || np.StepsTaken() != want || c.Steps() != want {
+				ok = false
 			}
 		}
-	})
-	for i, b := range bad {
-		if b {
-			t.Fatalf("proc %d: Now without timestamps should equal the process-local step count", i)
+		for i := 0; i < n; i++ {
+			base := uint64(6 * i)
+			r.Read(p)
+			check(base + 1)
+			r.Write(p, 0)
+			check(base + 2)
+			r.(CASReg).CompareAndSwap(p, 1, 1)
+			check(base + 3)
+			f.Read(p)
+			check(base + 4)
+			f.Write(p, 0)
+			check(base + 5)
+			f.CompareAndSwap(p, 1, 1)
+			check(base + 6)
+		}
+		return ok
+	}
+	g := rt.NewRunGroup(k)
+	for run := 0; run < 2; run++ {
+		bad := make([]bool, k)
+		g.Run(func(p Proc) { bad[p.ID()] = !steps(p, 50) })
+		for i, b := range bad {
+			if b {
+				t.Fatalf("run %d proc %d: Now and StepsTaken without timestamps should equal Counts().Steps()", run, i)
+			}
+		}
+	}
+	p := rt.NewProc(0)
+	for round := 0; round < 2; round++ {
+		if !steps(p, 10) {
+			t.Fatalf("standalone proc, round %d: Now and StepsTaken should equal Counts().Steps()", round)
+		}
+		p.Reset()
+		if p.Now() != 0 || p.StepsTaken() != 0 {
+			t.Fatalf("after Reset: Now %d, StepsTaken %d, want 0", p.Now(), p.StepsTaken())
 		}
 	}
 }

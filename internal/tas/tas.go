@@ -40,8 +40,9 @@ type Sided interface {
 // Unit is the hardware test-and-set: a single compare-and-swap on one word,
 // counted as one step. It supports any number of contenders and also
 // implements Sided (the side is irrelevant). The word is held through the
-// devirtualized register handle: on the native runtime a TestAndSet is an
-// inlined atomic CAS with no interface dispatch.
+// devirtualized register handle: on the native runtime a TestAndSet is one
+// call to FastReg.CompareAndSwap, with the step accounting inlined into it
+// and no interface dispatch.
 type Unit struct {
 	w shmem.FastReg
 }
