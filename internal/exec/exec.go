@@ -19,9 +19,13 @@
 //   - An EventLog records the execution — every scheduling decision in a
 //     global total order with per-process sequence numbers, plus
 //     operation-level marks — on either runtime. A log recorded on the
-//     native runtime replays bit-identically on the simulator through
-//     sim.FromTrace (see Replay), turning any hardware interleaving,
-//     crashes included, into a reproducible deterministic execution.
+//     native runtime replays on the simulator through sim.FromTrace (see
+//     Replay) with the same schedule, per-process operation counts,
+//     values and crashes, turning any hardware interleaving into a
+//     reproducible deterministic execution. Only the order of marks can
+//     differ: marks that processes take before their first step come
+//     back in process-id order on the simulator, so the replay's
+//     EventLog.Events() can differ from the recording's.
 //   - The trace checkers (check.go) run the paper's validity conditions
 //     (strong renaming: unique names in [1..k]; counter monotone
 //     consistency) over recorded logs from either runtime.
@@ -192,9 +196,12 @@ func (e *Execution) MarkRead(p shmem.Proc, v uint64) { e.mark(p, TagRead, v) }
 // Replay returns a fresh simulator that re-executes a recorded log: the
 // recorded seed re-derives every process's coin stream and sim.FromTrace
 // forces the recorded schedule, so running the same body against a
-// same-shaped object graph reproduces the recorded execution bit for bit —
-// same names, same per-process operation counts, same crashes — whichever
-// runtime the log came from.
+// same-shaped object graph reproduces the recorded execution — same
+// schedule, same names and values, same per-process operation counts, same
+// crashes — whichever runtime the log came from. A re-recorded log can
+// still differ from a native recording event by event: marks that
+// processes take before their first step come back in process-id order,
+// wherever the native recording placed them.
 func Replay(log *EventLog) *sim.Runtime {
 	return sim.New(log.Seed, sim.FromTrace(log.Schedule()))
 }

@@ -171,11 +171,16 @@ func runAACRecorded(rt shmem.Runtime, k int) (*EventLog, *shmem.Stats, [][]uint6
 
 // TestNativeRecordReplaysOnSim is the headline contract of the execution
 // layer: an execution recorded on the native runtime — whichever
-// interleaving the hardware produced — replays bit-identically on the
-// simulator through sim.FromTrace: same names, same per-process operation
-// counts, same recorded events, checker-clean. The second input, an AAC
-// counter, runs max-register walks whose writes mostly rewrite a held
-// switch or spine bit, which the native registers do not store.
+// interleaving the hardware produced — replays on the simulator through
+// sim.FromTrace with the same schedule, values and per-process operation
+// counts, checker-clean. The renaming input also re-records the same
+// events. The second input, an AAC counter, runs max-register walks whose
+// writes mostly rewrite a held switch or spine bit, which the native
+// registers do not store; its processes take an increment-start mark
+// before their first step, and such marks come back in process-id order on
+// the simulator, so its logs are compared by schedule rather than event by
+// event. Its recorded native procs are hooked, so they take the
+// max registers' FastReg walk, not the word walk of unhooked procs.
 func TestNativeRecordReplaysOnSim(t *testing.T) {
 	for _, k := range []int{2, 4, 8} {
 		for seed := uint64(1); seed <= 3; seed++ {

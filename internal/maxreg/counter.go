@@ -40,7 +40,7 @@ type AACCounter struct {
 	procCap   int            // leaf slots 0..procCap-1 owned by incrementing processes
 	mergeBase int            // arena offset of the first merge leaf; 0 = classic layout
 	leaves    shmem.RegArena // leaf registers, bulk-allocated
-	nodes     []MaxReg       // heap layout: node i has children 2i and 2i+1; leaf j is node size+j
+	nodes     []*Unbounded   // heap layout: node i has children 2i and 2i+1; leaf j is node size+j
 }
 
 // AACBlueprint is the runtime-independent shape of an AACCounter: the
@@ -123,7 +123,7 @@ func (bp *AACBlueprint) Instantiate(mem shmem.Mem) *AACCounter {
 		procCap:   bp.procCap,
 		mergeBase: bp.mergeBase,
 		leaves:    shmem.NewRegs(mem, bp.size),
-		nodes:     make([]MaxReg, bp.size),
+		nodes:     make([]*Unbounded, bp.size),
 	}
 	for i := 1; i < bp.size; i++ {
 		c.nodes[i] = NewUnbounded(mem)
@@ -158,7 +158,7 @@ func (c *AACCounter) MergeSlots() int {
 func (c *AACCounter) Reset() {
 	c.leaves.Reset()
 	for i := 1; i < c.size; i++ {
-		c.nodes[i].(*Unbounded).Reset()
+		c.nodes[i].Reset()
 	}
 }
 
@@ -167,7 +167,7 @@ func (c *AACCounter) value(p shmem.Proc, idx int) uint64 {
 	if idx >= c.size {
 		return c.leaves.Reg(idx - c.size).Read(p)
 	}
-	return c.nodes[idx].ReadMax(p)
+	return c.nodes[idx].readMax(p)
 }
 
 // refresh re-derives the max registers on the path from leaf (a tree
@@ -177,7 +177,7 @@ func (c *AACCounter) value(p shmem.Proc, idx int) uint64 {
 func (c *AACCounter) refresh(p shmem.Proc, leaf int) {
 	for v := leaf / 2; v >= 1; v /= 2 {
 		sum := c.value(p, 2*v) + c.value(p, 2*v+1)
-		c.nodes[v].WriteMax(p, sum)
+		c.nodes[v].writeMax(p, sum)
 	}
 }
 
@@ -187,6 +187,10 @@ func (c *AACCounter) Inc(p shmem.Proc) {
 	id := p.ID()
 	if id >= c.procCap {
 		panic(fmt.Sprintf("maxreg: AACCounter built for %d processes, got id %d", c.procCap, id))
+	}
+	if np := shmem.DirectProc(p); np != nil {
+		c.incWords(np, id)
+		return
 	}
 	c.leaves.Reg(id).Write(p, c.leaves.Reg(id).Read(p)+1)
 	c.refresh(p, c.size+id)
@@ -208,6 +212,10 @@ func (c *AACCounter) Merge(p shmem.Proc, src int, total uint64) {
 	if src < 0 || src >= c.size-c.mergeBase {
 		panic(fmt.Sprintf("maxreg: AACCounter built for %d merge slots, got src %d", c.size-c.mergeBase, src))
 	}
+	if np := shmem.DirectProc(p); np != nil {
+		c.mergeWords(np, src, total)
+		return
+	}
 	r := c.leaves.CASReg(c.mergeBase + src)
 	for {
 		v := r.Read(p)
@@ -223,6 +231,43 @@ func (c *AACCounter) Merge(p shmem.Proc, src int, total uint64) {
 	c.refresh(p, c.size+c.mergeBase+src)
 }
 
+// incWords, mergeWords, valueWords and refreshWords are Inc, Merge, value
+// and refresh for a direct native proc (shmem.DirectProc): the same steps
+// in the same order, on the leaves' words and the nodes' word walks.
+
+func (c *AACCounter) incWords(np *shmem.NativeProc, id int) {
+	leaves := arenaWords(c.leaves)
+	w := leaves.at(uint64(id))
+	writeWord(np, w, readWord(np, w)+1)
+	c.refreshWords(np, leaves, c.size+id)
+}
+
+func (c *AACCounter) mergeWords(np *shmem.NativeProc, src int, total uint64) {
+	leaves := arenaWords(c.leaves)
+	w := leaves.at(uint64(c.mergeBase + src))
+	for {
+		v := readWord(np, w)
+		if v >= total || casWord(np, w, v, total) {
+			break
+		}
+	}
+	c.refreshWords(np, leaves, c.size+c.mergeBase+src)
+}
+
+func (c *AACCounter) valueWords(np *shmem.NativeProc, leaves words, idx int) uint64 {
+	if idx >= c.size {
+		return readWord(np, leaves.at(uint64(idx-c.size)))
+	}
+	return c.nodes[idx].readWords(np)
+}
+
+func (c *AACCounter) refreshWords(np *shmem.NativeProc, leaves words, leaf int) {
+	for v := leaf / 2; v >= 1; v /= 2 {
+		sum := c.valueWords(np, leaves, 2*v) + c.valueWords(np, leaves, 2*v+1)
+		c.nodes[v].writeWords(np, sum)
+	}
+}
+
 // ReadJoined returns the count of direct (joined-mode) increments only:
 // the per-process subtree, excluding every merged total. On the classic
 // layout it is Read. Phased readers combine it with the local cells —
@@ -231,6 +276,9 @@ func (c *AACCounter) Merge(p shmem.Proc, src int, total uint64) {
 func (c *AACCounter) ReadJoined(p shmem.Proc) uint64 {
 	if c.mergeBase == 0 {
 		return c.Read(p)
+	}
+	if np := shmem.DirectProc(p); np != nil {
+		return c.valueWords(np, arenaWords(c.leaves), 2)
 	}
 	return c.value(p, 2)
 }

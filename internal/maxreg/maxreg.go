@@ -17,6 +17,13 @@
 // when the native runtime pads its registers. The layout moves no step:
 // every operation reads and writes the same switches, in the same order,
 // as a tree of one heap node per switch would.
+//
+// Walks: each operation tests its proc once. An unhooked native proc on a
+// runtime without timestamps (shmem.DirectProc) takes a word walk, which
+// counts every step on the proc and performs it on the register's atomic
+// word, with no call per step. Every other proc (the simulator's, a hooked
+// or timestamped native one) takes the FastReg walk. Both walks read and
+// write the same registers in the same order.
 package maxreg
 
 import (
@@ -140,6 +147,18 @@ func (b *Bounded) WriteMax(p shmem.Proc, v uint64) {
 	if v >= b.m {
 		panic("maxreg: value out of range")
 	}
+	if np := shmem.DirectProc(p); np != nil {
+		b.writeWords(np, v)
+		return
+	}
+	b.writeMax(p, v)
+}
+
+// writeMax is WriteMax's walk for any proc: each step goes through a
+// FastReg. It recurses into itself rather than through WriteMax, so its
+// frame, which the simulator's process stacks hold once per level, does
+// not carry the proc test.
+func (b *Bounded) writeMax(p shmem.Proc, v uint64) {
 	if b.m <= flatWidth {
 		b.writeFlat(p, 0, b.m, v)
 		return
@@ -147,15 +166,15 @@ func (b *Bounded) WriteMax(p shmem.Proc, v uint64) {
 	k := b.children()
 	if v < b.half() {
 		if b.high.Read(p) == 0 {
-			k.left.WriteMax(p, v)
+			k.left.writeMax(p, v)
 		}
 		return
 	}
-	k.right.WriteMax(p, v-b.half())
+	k.right.writeMax(p, v-b.half())
 	b.high.Write(p, 1)
 }
 
-// writeFlat is WriteMax on the flat subtree over [lo, hi), lo ≤ v < hi.
+// writeFlat is writeMax on the flat subtree over [lo, hi), lo ≤ v < hi.
 // A step right recurses because its switch may be set only once the right
 // subtree holds v.
 func (b *Bounded) writeFlat(p shmem.Proc, lo, hi, v uint64) {
@@ -174,8 +193,54 @@ func (b *Bounded) writeFlat(p shmem.Proc, lo, hi, v uint64) {
 	}
 }
 
+// writeWords is writeMax for a direct native proc (shmem.DirectProc): it
+// reads and writes the same switches in the same order, each step a count
+// on the proc and an operation on the register's word. Left turns loop;
+// right turns recurse, as writeMax's do.
+func (b *Bounded) writeWords(np *shmem.NativeProc, v uint64) {
+	for b.m > flatWidth {
+		k := b.children()
+		if v >= b.half() {
+			k.right.writeWords(np, v-b.half())
+			writeWord(np, b.high.Word(), 1)
+			return
+		}
+		if readWord(np, b.high.Word()) != 0 {
+			return
+		}
+		b = k.left
+	}
+	writeFlatWords(np, arenaWords(b.sw), 0, b.m, v)
+}
+
+// writeFlatWords is writeFlat for a direct native proc on the flat
+// subtree's words.
+func writeFlatWords(np *shmem.NativeProc, sw words, lo, hi, v uint64) {
+	for hi-lo > 1 {
+		mid := lo + (hi-lo+1)/2
+		w := sw.at(mid - 1)
+		if v >= mid {
+			writeFlatWords(np, sw, mid, hi, v)
+			writeWord(np, w, 1)
+			return
+		}
+		if readWord(np, w) != 0 {
+			return
+		}
+		hi = mid
+	}
+}
+
 // ReadMax returns the current maximum. Cost: O(log m) steps.
 func (b *Bounded) ReadMax(p shmem.Proc) uint64 {
+	if np := shmem.DirectProc(p); np != nil {
+		return b.readWords(np)
+	}
+	return b.readMax(p)
+}
+
+// readMax is ReadMax's walk for any proc.
+func (b *Bounded) readMax(p shmem.Proc) uint64 {
 	var base uint64
 	for b.m > flatWidth {
 		k := b.children()
@@ -190,6 +255,31 @@ func (b *Bounded) ReadMax(p shmem.Proc) uint64 {
 	for hi-lo > 1 {
 		mid := lo + (hi-lo+1)/2
 		if shmem.FastAt(b.sw, int(mid-1)).Read(p) == 1 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return base + lo
+}
+
+// readWords is readMax for a direct native proc.
+func (b *Bounded) readWords(np *shmem.NativeProc) uint64 {
+	var base uint64
+	for b.m > flatWidth {
+		k := b.children()
+		if readWord(np, b.high.Word()) == 1 {
+			base += b.half()
+			b = k.right
+		} else {
+			b = k.left
+		}
+	}
+	sw := arenaWords(b.sw)
+	lo, hi := uint64(0), b.m
+	for hi-lo > 1 {
+		mid := lo + (hi-lo+1)/2
+		if readWord(np, sw.at(mid-1)) == 1 {
 			lo = mid
 		} else {
 			hi = mid
@@ -278,6 +368,15 @@ func level(v uint64) int { return bits.Len64(v+1) - 1 }
 
 // WriteMax raises the register to at least v.
 func (u *Unbounded) WriteMax(p shmem.Proc, v uint64) {
+	if np := shmem.DirectProc(p); np != nil {
+		u.writeWords(np, v)
+		return
+	}
+	u.writeMax(p, v)
+}
+
+// writeMax is WriteMax's walk for any proc.
+func (u *Unbounded) writeMax(p shmem.Proc, v uint64) {
 	if v > uint64(1)<<62 {
 		panic("maxreg: value too large")
 	}
@@ -286,7 +385,7 @@ func (u *Unbounded) WriteMax(p shmem.Proc, v uint64) {
 	if j >= len(spine) {
 		spine = u.grow(j)
 	}
-	spine[j].tree.WriteMax(p, v-base(j))
+	spine[j].tree.writeMax(p, v-base(j))
 	// Deep-first bit setting: a reader that sees deeper=1 at node i < j
 	// will find every bit up to j−1 already set and reach the full value.
 	for i := j - 1; i >= 0; i-- {
@@ -294,16 +393,90 @@ func (u *Unbounded) WriteMax(p shmem.Proc, v uint64) {
 	}
 }
 
+// writeWords is writeMax for a direct native proc (shmem.DirectProc).
+func (u *Unbounded) writeWords(np *shmem.NativeProc, v uint64) {
+	if v > uint64(1)<<62 {
+		panic("maxreg: value too large")
+	}
+	j := level(v)
+	spine := u.load()
+	if j >= len(spine) {
+		spine = u.grow(j)
+	}
+	spine[j].tree.writeWords(np, v-base(j))
+	for i := j - 1; i >= 0; i-- {
+		writeWord(np, spine[i].deeper.Word(), 1)
+	}
+}
+
 // ReadMax returns the current maximum. The spine is loaded once; grow runs
 // only when the walk passes its end.
 func (u *Unbounded) ReadMax(p shmem.Proc) uint64 {
+	if np := shmem.DirectProc(p); np != nil {
+		return u.readWords(np)
+	}
+	return u.readMax(p)
+}
+
+// readMax is ReadMax's walk for any proc.
+func (u *Unbounded) readMax(p shmem.Proc) uint64 {
 	spine := u.load()
 	for j := 0; ; j++ {
 		if j == len(spine) {
 			spine = u.grow(j)
 		}
 		if spine[j].deeper.Read(p) != 1 {
-			return base(j) + spine[j].tree.ReadMax(p)
+			return base(j) + spine[j].tree.readMax(p)
 		}
 	}
+}
+
+// readWords is readMax for a direct native proc.
+func (u *Unbounded) readWords(np *shmem.NativeProc) uint64 {
+	spine := u.load()
+	for j := 0; ; j++ {
+		if j == len(spine) {
+			spine = u.grow(j)
+		}
+		if readWord(np, spine[j].deeper.Word()) != 1 {
+			return base(j) + spine[j].tree.readWords(np)
+		}
+	}
+}
+
+// words is a native register arena's atomic words (shmem.ArenaWords),
+// resolved once per walk: register i's word is at(i).
+type words struct {
+	w     []atomic.Uint64
+	shift uint
+}
+
+func arenaWords(a shmem.RegArena) words {
+	w, shift := shmem.ArenaWords(a)
+	return words{w, shift}
+}
+
+func (s words) at(i uint64) *atomic.Uint64 { return &s.w[i<<s.shift] }
+
+// readWord, writeWord and casWord are the steps of the word walks: each
+// counts its step on the proc and then operates on the word. Each inlines,
+// so a word walk makes no call per step.
+
+func readWord(np *shmem.NativeProc, w *atomic.Uint64) uint64 {
+	np.CountStep(shmem.OpRead)
+	return w.Load()
+}
+
+// writeWord stores only when the word holds another value, as every
+// native write does (see shmem's storeWord).
+func writeWord(np *shmem.NativeProc, w *atomic.Uint64, v uint64) {
+	np.CountStep(shmem.OpWrite)
+	if w.Load() != v {
+		w.Store(v)
+	}
+}
+
+func casWord(np *shmem.NativeProc, w *atomic.Uint64, old, new uint64) bool {
+	np.CountStep(shmem.OpCAS)
+	return w.CompareAndSwap(old, new)
 }

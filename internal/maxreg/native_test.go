@@ -2,6 +2,7 @@ package maxreg
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/shmem"
@@ -21,32 +22,54 @@ type scriptOp struct {
 // checkNativeMatchesSim builds one object on the native runtime and one on
 // a one-process sequential simulator, runs the script on both one
 // operation at a time, and requires every operation to return the same
-// value and take the same operation counts on both. The native operations
-// run on an unhooked standalone proc, so they take the devirtualized
-// register path, where a write of the value a register holds stores
-// nothing; the simulator's registers store every write.
+// value and take the same operation counts on both, and to advance the
+// native proc's Now() by exactly its steps. Two legs run the native
+// operations on an unhooked standalone proc, unpadded and padded, so they
+// take the word walks (shmem.DirectProc), where a write of the value a
+// register holds stores nothing; the simulator's registers store every
+// write. The third leg runs them on a WithTimestamps runtime, whose steps
+// must tick the shared clock, so they take the FastReg walk: a word walk
+// there would count its steps without advancing Now(). Hooked procs take
+// the FastReg walk as well; internal/exec's TestNativeRecordReplaysOnSim
+// runs this package's AAC counter behind a recording hook.
 func checkNativeMatchesSim(t *testing.T, label string, build func(mem shmem.Mem) []scriptOp) {
 	t.Helper()
-	for _, pad := range []bool{false, true} {
-		nrt := shmem.NewNative(1, shmem.WithRegisterPadding(pad))
+	legs := []struct {
+		name   string
+		opt    shmem.NativeOption
+		direct bool
+	}{
+		{"pad=false", shmem.WithRegisterPadding(false), true},
+		{"pad=true", shmem.WithRegisterPadding(true), true},
+		{"timestamps", shmem.WithTimestamps(), false},
+	}
+	for _, leg := range legs {
+		nrt := shmem.NewNative(1, leg.opt)
 		np := nrt.NewProc(0)
+		if direct := shmem.DirectProc(np) != nil; direct != leg.direct {
+			t.Fatalf("%s %s: DirectProc non-nil = %v, want %v", label, leg.name, direct, leg.direct)
+		}
 		native := build(nrt)
 		srt := sim.New(1, sim.NewSequential())
 		simulated := build(srt)
 		for i, op := range native {
 			np.Reset()
+			start := np.Now()
 			got := op.run(np)
 			srt.Reset(1, sim.NewSequential()) // run state only; registers keep their values
 			var want uint64
 			st := srt.Run(1, func(p shmem.Proc) { want = simulated[i].run(p) })
 			if got != want {
-				t.Fatalf("%s pad=%v op %d %s: native returned %d, simulator %d", label, pad, i, op.name, got, want)
+				t.Fatalf("%s %s op %d %s: native returned %d, simulator %d", label, leg.name, i, op.name, got, want)
 			}
 			if np.Counts() != st.PerProc[0] {
-				t.Fatalf("%s pad=%v op %d %s: native counts %+v, simulator %+v", label, pad, i, op.name, np.Counts(), st.PerProc[0])
+				t.Fatalf("%s %s op %d %s: native counts %+v, simulator %+v", label, leg.name, i, op.name, np.Counts(), st.PerProc[0])
+			}
+			if c := np.Counts(); np.Now()-start != c.Steps() {
+				t.Fatalf("%s %s op %d %s: Now() advanced by %d over %d steps", label, leg.name, i, op.name, np.Now()-start, c.Steps())
 			}
 			if op.read && got != op.want {
-				t.Fatalf("%s pad=%v op %d %s: read %d, want %d", label, pad, i, op.name, got, op.want)
+				t.Fatalf("%s %s op %d %s: read %d, want %d", label, leg.name, i, op.name, got, op.want)
 			}
 		}
 	}
@@ -135,4 +158,79 @@ func TestNativeStepsMatchSim(t *testing.T) {
 		}
 		return ops
 	})
+}
+
+// TestNativeWordWalksConcurrent runs the word walks from several unhooked
+// native procs at once, unpadded and padded: G goroutines, each with its
+// own NewProc(i) on one runtime, share one Unbounded and one merge-layout
+// AACCounter. Each goroutine writes rising values that cross the flat width
+// and many spine levels, reading after every write, and then increments,
+// reading after every increment. A read must return a value some
+// goroutine wrote (a switch or spine bit set before the value below it is
+// complete would let a reader assemble one nobody wrote), cover the
+// goroutine's own completed operations and never fall below its previous
+// read; after the join the registers hold the largest value written and
+// the exact count. CI runs it under -race.
+func TestNativeWordWalksConcurrent(t *testing.T) {
+	const (
+		G      = 4
+		writes = 200 // values up to writes²·G, spine levels 0 to 17
+		incs   = 300
+	)
+	for _, pad := range []bool{false, true} {
+		rt := shmem.NewNative(1, shmem.WithRegisterPadding(pad))
+		u := NewUnbounded(rt)
+		c := NewAACCounterWithMerge(rt, G, G)
+		value := func(g int, i uint64) uint64 { return i*i*G + uint64(g) }
+		written := make(map[uint64]bool)
+		for g := range G {
+			for i := range uint64(writes) {
+				written[value(g, i)] = true
+			}
+		}
+		var wg sync.WaitGroup
+		for g := range G {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p := rt.NewProc(g)
+				if shmem.DirectProc(p) == nil {
+					t.Errorf("pad=%v proc %d: not a direct proc, the word walks would not run", pad, g)
+					return
+				}
+				var last uint64
+				for i := range uint64(writes) {
+					v := value(g, i)
+					u.WriteMax(p, v)
+					r := u.ReadMax(p)
+					if !written[r] || r < v || r < last {
+						t.Errorf("pad=%v proc %d: ReadMax = %d after writing %d, previous read %d", pad, g, r, v, last)
+						return
+					}
+					last = r
+				}
+				var lastRead, lastJoined uint64
+				for i := uint64(1); i <= incs; i++ {
+					c.Inc(p)
+					r, j := c.Read(p), c.ReadJoined(p)
+					if r < i || r < lastRead || j < i || j < lastJoined {
+						t.Errorf("pad=%v proc %d: after %d increments Read = %d (previous %d), ReadJoined = %d (previous %d)", pad, g, i, r, lastRead, j, lastJoined)
+						return
+					}
+					lastRead, lastJoined = r, j
+				}
+			}()
+		}
+		wg.Wait()
+		p := rt.NewProc(0)
+		if got, want := u.ReadMax(p), value(G-1, writes-1); got != want {
+			t.Errorf("pad=%v: final ReadMax = %d, want %d", pad, got, want)
+		}
+		if got, want := c.Read(p), uint64(G*incs); got != want {
+			t.Errorf("pad=%v: final Read = %d, want %d", pad, got, want)
+		}
+		if got, want := c.ReadJoined(p), uint64(G*incs); got != want {
+			t.Errorf("pad=%v: final ReadJoined = %d, want %d", pad, got, want)
+		}
+	}
 }

@@ -1,6 +1,9 @@
 package shmem
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // This file is the devirtualized native hot path. Algorithm code is written
 // against the Reg/CASReg/Proc interfaces so it runs unchanged on both
@@ -28,6 +31,12 @@ import "sync/atomic"
 // tas, splitter, maxreg and core store FastReg in place of Reg/CASReg on
 // their hot-path fields; construction wraps once via Fast at instantiation
 // time, outside the step-counted model.
+//
+// Walks that take many steps per operation (the max registers) can drop
+// the per-step call as well: DirectProc tests the proc once per operation,
+// and for an unhooked proc without timestamps the walk then counts each
+// step with CountStep and operates on the words that Word and ArenaWords
+// expose, with no call per step.
 
 // FastReg is a devirtualized register handle. The zero value is unusable
 // (like a nil Reg); build one with Fast.
@@ -63,6 +72,58 @@ func FastAt(a RegArena, i int) FastReg {
 	}
 	return Fast(a.Reg(i))
 }
+
+// Word returns the register's atomic word when it belongs to the native
+// runtime, and nil otherwise.
+func (r FastReg) Word() *atomic.Uint64 { return r.w }
+
+// ArenaWords returns the atomic words of a native arena's registers:
+// register i's word is words[i<<shift]. An unpadded arena is its words
+// (shift 0); a padded arena's registers are eight words apart (shift 3),
+// and the words between them are padding that no step touches. It returns
+// nil for an empty arena or one from another Mem.
+func ArenaWords(a RegArena) (words []atomic.Uint64, shift uint) {
+	switch t := a.(type) {
+	case nativeArena:
+		if len(t) > 0 {
+			return unsafe.Slice(&t[0].v, len(t)), 0
+		}
+	case nativePaddedArena:
+		if len(t) > 0 {
+			return unsafe.Slice(&t[0].v, len(t)<<paddedShift), paddedShift
+		}
+	}
+	return nil, 0
+}
+
+// paddedShift is log2 of a padded register's size in 8-byte words. The two
+// declarations below compile only while that size is exact.
+const paddedShift = 3
+
+var (
+	_ [unsafe.Sizeof(nativeRegPadded{}) - 8<<paddedShift]struct{}
+	_ [8<<paddedShift - unsafe.Sizeof(nativeRegPadded{})]struct{}
+)
+
+// DirectProc returns p as a *NativeProc when a step of p is only a count
+// on the proc: an unhooked native proc on a runtime without timestamps. It
+// returns nil for every other proc, whose steps must go through Step: the
+// simulator's, a hooked one (hookedProc fails the type test), and a
+// WithTimestamps one (its steps tick the shared clock). Objects from one
+// runtime's Mem are used only by that runtime's procs (see Mem), so a
+// direct proc meets only native registers: a walk that tests its proc once
+// per operation can then step on the registers' words directly.
+func DirectProc(p Proc) *NativeProc {
+	if np, ok := p.(*NativeProc); ok && !np.ts {
+		return np
+	}
+	return nil
+}
+
+// CountStep accounts one step of a direct proc (see DirectProc); the
+// caller performs the operation on the register's word. Every step must be
+// counted by the time the operation returns.
+func (p *NativeProc) CountStep(op Op) { p.counts.Ops[op]++ }
 
 // Read performs one read step.
 func (r FastReg) Read(p Proc) uint64 {

@@ -89,6 +89,67 @@ func TestFastRegNativePath(t *testing.T) {
 	}
 }
 
+// nopHook arms a RunGroup without crashing or recording anything.
+type nopHook struct{}
+
+func (nopHook) OnStep(*NativeProc, Op) bool { return true }
+func (nopHook) OnExit(*NativeProc, bool)    {}
+
+// TestDirectProcAndWords pins what the max registers' word walks rely on:
+// only an unhooked proc on a runtime without timestamps is direct, and
+// ArenaWords and Word address the same words as the registers' own
+// methods, unpadded and padded. Registers from another Mem expose no
+// words.
+func TestDirectProcAndWords(t *testing.T) {
+	if DirectProc(NewNative(1).NewProc(0)) == nil {
+		t.Error("an unhooked proc without timestamps is not direct")
+	}
+	if DirectProc(NewNative(1, WithTimestamps()).NewProc(0)) != nil {
+		t.Error("a WithTimestamps proc is direct")
+	}
+	g := NewNative(1).NewRunGroup(1)
+	g.SetHook(nopHook{})
+	g.Run(func(p Proc) {
+		if DirectProc(p) != nil {
+			t.Error("a hooked proc is direct")
+		}
+	})
+	for _, pad := range []bool{false, true} {
+		rt := NewNative(1, WithRegisterPadding(pad))
+		p := rt.NewProc(0)
+		const n = 5
+		a := rt.NewRegs(n)
+		words, shift := ArenaWords(a)
+		if len(words) != n<<shift {
+			t.Fatalf("pad=%v: %d words at shift %d for %d registers", pad, len(words), shift, n)
+		}
+		for i := range n {
+			a.Reg(i).Write(p, uint64(10+i))
+		}
+		for i := range n {
+			if got := words[i<<shift].Load(); got != uint64(10+i) {
+				t.Errorf("pad=%v: word of register %d = %d, want %d", pad, i, got, 10+i)
+			}
+		}
+		words[3<<shift].Store(99)
+		if got := a.Reg(3).Read(p); got != 99 {
+			t.Errorf("pad=%v: register 3 reads %d after its word was set to 99", pad, got)
+		}
+		if got := Fast(rt.NewReg(7)).Word().Load(); got != 7 {
+			t.Errorf("pad=%v: Word of a register holding 7 reads %d", pad, got)
+		}
+	}
+	if w, _ := ArenaWords(NewRegs(lockedMem{}, 2)); w != nil {
+		t.Error("a third-party arena exposes words")
+	}
+	if w, _ := ArenaWords(NewNative(1).NewRegs(0)); w != nil {
+		t.Error("an empty arena exposes words")
+	}
+	if Fast(lockedMem{}.NewReg(0)).Word() != nil {
+		t.Error("a third-party register exposes a word")
+	}
+}
+
 // TestFastRegFallback covers the interface-fallback path: registers from a
 // third-party Mem keep their exact semantics (including step accounting
 // through the Proc they are handed) behind the FastReg handle.
