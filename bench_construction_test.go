@@ -7,7 +7,7 @@
 //   - BenchmarkFreshBuild*: construct AND run per iteration — the
 //     pre-two-phase behavior (what every execution used to pay). The ratio
 //     FreshBuild / the matching execution benchmark in bench_test.go is
-//     the amortization win recorded in BENCH_2.json.
+//     the amortization win (BENCHMARKS.md, "The two-phase object model").
 //   - BenchmarkCompileCold: one uncached blueprint compilation, for the
 //     construction-cost table in BENCHMARKS.md (cached compiles are a map
 //     lookup and not worth timing).

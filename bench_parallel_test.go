@@ -1,5 +1,5 @@
-// Parallel throughput benchmarks: the serving-engine suite (BENCH_3.json;
-// see BENCHMARKS.md "Throughput"). Where bench_test.go measures one
+// Parallel throughput benchmarks: the serving-engine suite (see
+// BENCHMARKS.md "Throughput"). Where bench_test.go measures one
 // execution at a time, these measure sustained operation throughput from
 // many goroutines — the regime the sharded pool exists for. Run with
 // -cpu 1,2,4,8 to sweep the goroutine/CPU axis; the -cpu 1 row is the

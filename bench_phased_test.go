@@ -1,5 +1,5 @@
-// Phased-counting benchmarks (BENCH_6.json; see BENCHMARKS.md "Adaptive
-// phase reconciliation").
+// Phased-counting benchmarks (see BENCHMARKS.md "Adaptive phase
+// reconciliation").
 //
 // Two claims are pinned here:
 //
@@ -153,12 +153,13 @@ func BenchmarkPhasedIncSplit(b *testing.B) {
 }
 
 // reportPhaseStats attaches the phase machinery's accounting to the row:
-// final mode (0 joined / 1 split), transitions, and retries per 1k ops.
+// final mode (0 joined / 1 split), transitions, and lease retries per 1k
+// ops.
 func reportPhaseStats(b *testing.B, pool *renaming.PhasedPool) {
 	st := pool.Stats()
 	b.ReportMetric(float64(st.Mode), "mode")
 	b.ReportMetric(float64(st.Switches), "switches")
 	if st.Ops > 0 {
-		b.ReportMetric(1000*float64(st.LeaseRetries+st.SpineRetries)/float64(st.Ops), "retries/kop")
+		b.ReportMetric(1000*float64(st.LeaseRetries)/float64(st.Ops), "retries/kop")
 	}
 }

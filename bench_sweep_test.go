@@ -12,11 +12,10 @@
 //   - BenchmarkSweepExecFreshBuild: full facade construction per
 //     execution — the pre-two-phase behavior.
 //
-// The Reuse/Instantiate ratio is the amortization win BENCH_7.json
-// records (acceptance: ≥5× at -workers 1). BenchmarkSweepThroughput is
-// the same engine under the parallel pass's -cpu sweep; on this
-// single-core container the -cpu rows measure oversubscription overhead,
-// not scaling (see BENCHMARKS.md).
+// The Reuse/Instantiate ratio is the amortization win (BENCHMARKS.md,
+// "The sweep engine"). BenchmarkSweepThroughput is the same engine under
+// a -cpu sweep; on a single-core host the -cpu rows measure
+// oversubscription overhead, not scaling.
 package renaming_test
 
 import (
@@ -113,9 +112,8 @@ func BenchmarkSweepExecFreshBuild(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "exec/s")
 }
 
-// BenchmarkSweepThroughput runs the full engine — stealing deques, arenas,
-// accumulators — at the -cpu sweep's worker count (the parallel bench.sh
-// pass picks this up by its Throughput suffix).
+// BenchmarkSweepThroughput runs the full engine — shared task counter,
+// arenas, accumulators — at the -cpu sweep's worker count.
 func BenchmarkSweepThroughput(b *testing.B) {
 	s, err := renaming.NewSweep(sweepBenchSpace(b.N), renaming.SweepOptions{
 		Workers: runtime.GOMAXPROCS(0), Budget: b.N, NoHarvest: true,

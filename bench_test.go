@@ -6,7 +6,8 @@
 // long-lived serving loop (allocation-free after warmup). Construction
 // cost is measured separately in bench_construction_test.go; the
 // fresh-build benchmarks there reproduce the old construct-per-iteration
-// behavior for the amortization comparison (recorded in BENCH_2.json).
+// behavior for the amortization comparison (BENCHMARKS.md, "The
+// two-phase object model").
 //
 // Each iteration executes one full simulated run; the custom metrics
 // report the model quantities the paper bounds (simulated steps and
@@ -191,7 +192,7 @@ func BenchmarkNativeRenaming(b *testing.B) {
 // never fires (it names a process id that never runs), so the difference
 // to BenchmarkNativeRenaming is the per-step cost of hook dispatch plus
 // the plan checks. The disarmed cost is the nil-check already included in
-// BenchmarkNativeRenaming (compare against BENCH_3 — see BENCHMARKS.md).
+// BenchmarkNativeRenaming (see BENCHMARKS.md "The execution layer").
 func BenchmarkNativeRenamingFaultArmed(b *testing.B) {
 	for _, k := range []int{8, 64} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {

@@ -78,9 +78,8 @@ func BenchmarkWireRename(b *testing.B) {
 // sweep with end-to-end tracing armed — every frame carries a trace id
 // and stage echo, and 1-in-64 trace ids record spans — against the
 // untraced BenchmarkWireRename/batch=64 baseline. The delta is the whole
-// observed cost of the tentpole on the serving path; the disarmed path
-// is additionally pinned to stay within the noise of the BENCH_9
-// baseline (scripts/bench.sh gate).
+// observed cost of tracing on the serving path (BENCHMARKS.md
+// "Observability").
 func BenchmarkWireRenameTraced(b *testing.B) {
 	c := newWireBench(b)
 	col := renaming.NewTraceCollector()

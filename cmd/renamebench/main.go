@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	renamebench [-quick] [-seeds N] [-table E8] [-markdown]
-//	renamebench -parallel G        # wall-clock serving-throughput table
+//	renamebench [-quick] [-seeds N] [-table E8] [-markdown | -csv]
 package main
 
 import (
@@ -21,47 +20,18 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "shrink parameter sweeps for a fast smoke run")
 	seeds := flag.Int("seeds", 10, "independent runs per parameter point")
-	fresh := flag.Bool("fresh", false, "rebuild the object graph for every seed instead of resetting one instantiation (comparison knob; results are bit-identical)")
 	table := flag.String("table", "", "run only the experiment with this ID (e.g. E8)")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavored markdown")
 	csv := flag.Bool("csv", false, "emit CSV series for external plotting")
-	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON document per run (see scripts/bench.sh)")
-	parallel := flag.Int("parallel", 0, "measure serving throughput instead of the E-tables: sweep 1..G goroutines against sharded pools (wall-clock, native runtime)")
-	loadTable := flag.Bool("load", false, "run the workload-harness table instead of the E-tables: every catalog scenario for one -window against the native pools (see also cmd/renameload)")
-	window := flag.Duration("window", 0, "measurement window per throughput cell (with -parallel; default 100ms) or per scenario (with -load; default 2s — low-rate scenarios need time to arrive)")
 	flag.Parse()
 
-	if *jsonOut && (*markdown || *csv) {
-		fmt.Fprintln(os.Stderr, "renamebench: -json cannot be combined with -markdown or -csv")
-		os.Exit(2)
-	}
-	if *parallel > 0 && *loadTable {
-		fmt.Fprintln(os.Stderr, "renamebench: -parallel and -load are mutually exclusive")
-		os.Exit(2)
-	}
-
-	cfg := bench.Config{Seeds: *seeds, Quick: *quick, Fresh: *fresh}
-	var tables []*bench.Table
-	switch {
-	case *parallel > 0:
-		tables = []*bench.Table{bench.Throughput(*parallel, *window)}
-	case *loadTable:
-		tables = []*bench.Table{bench.LoadTable(*window)}
-	default:
-		tables = bench.All(cfg)
-	}
-
+	tables := bench.All(bench.Config{Seeds: *seeds, Quick: *quick})
 	matched := false
-	var selected []*bench.Table
 	for _, t := range tables {
 		if *table != "" && !strings.EqualFold(t.ID, *table) {
 			continue
 		}
 		matched = true
-		selected = append(selected, t)
-		if *jsonOut {
-			continue // emitted as one document after the loop
-		}
 		switch {
 		case *csv:
 			t.CSV(os.Stdout)
@@ -69,12 +39,6 @@ func main() {
 			t.Markdown(os.Stdout)
 		default:
 			t.Fprint(os.Stdout)
-		}
-	}
-	if matched && *jsonOut {
-		if err := bench.JSONTables(os.Stdout, selected); err != nil {
-			fmt.Fprintln(os.Stderr, "renamebench:", err)
-			os.Exit(1)
 		}
 	}
 	if !matched {

@@ -43,7 +43,7 @@
 //	renameload [-scenario churn] [-rate R] [-duration D] [-workers N]
 //	           [-ops N] [-seed S] [-faults 1@8,3@20|none] [-runtime sim]
 //	           [-addr host:port | -ring ring.txt] [-deadline D] [-trace N]
-//	           [-json] [-gobench]
+//	           [-json]
 package main
 
 import (
@@ -72,7 +72,6 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "per-batch server-side processing budget over -addr/-ring (0 = none); with server admission control, also bounds how long a queued op may wait before it is shed")
 	traceK := flag.Int("trace", 0, "arm end-to-end tracing over -addr/-ring and print the N slowest traced chains with their per-hop spans after the run; every frame then carries a stage echo (the report's stages row) and 1-in-64 trace ids record spans")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")
-	gobench := flag.Bool("gobench", false, "emit one go-bench-style result line (scripts/bench.sh folds these into BENCH_<n>.json)")
 	flag.Parse()
 
 	if *list {
@@ -211,12 +210,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	switch {
-	case *gobench:
-		fmt.Println(r.GoBenchRow())
-	case *jsonOut:
+	if *jsonOut {
 		os.Stdout.Write(r.JSON())
-	default:
+	} else {
 		r.Fprint(os.Stdout)
 	}
 	if r.Verdict != "ok" {

@@ -1,5 +1,5 @@
-// Command renamesweep drives the parallel sweep engine: a work-stealing
-// fleet of deterministic simulated executions across objects × adversary
+// Command renamesweep drives the parallel sweep engine: a worker fleet of
+// deterministic simulated executions across objects × adversary
 // families × crash plans × seeds, with per-worker arenas that amortize
 // run-state construction to an allocation-free steady state.
 //
@@ -14,11 +14,11 @@
 //     step complexity.
 //
 // Either way the report is a pure function of the task space: bit-identical
-// for any -workers value, any steal order, and any repetition. Worst cases
-// (and violations, should one ever appear) are harvested — re-recorded
-// through the execution layer into an event log and replayed through the
-// trace-forcing adversary to prove the log reproduces the execution bit
-// for bit.
+// for any -workers value, any task interleaving, and any repetition. Worst
+// cases (and violations, should one ever appear) are harvested —
+// re-recorded through the execution layer into an event log and replayed
+// through the trace-forcing adversary to prove the log reproduces the
+// execution bit for bit.
 //
 // The process exits non-zero unless the verdict is "ok", so CI can gate on
 // it directly.

@@ -201,16 +201,16 @@
 // returns the exact value.
 //
 // NewPhasedCounterPool serves one shared phased counter to any number of
-// goroutines and drives the phase automatically: lanes export live
-// contention signals (failed lease CASes, failed spine CASes, in-flight
-// occupancy), and a hysteretic controller — enter/exit thresholds a 5×
-// band apart plus a settle debounce — flips to split when the joined spine
-// thrashes and rejoins (reconciling first) when traffic calms, so bursty
-// workloads get split-phase throughput (≥3× the shared spine at high
-// contention; see BENCHMARKS.md "Adaptive phase reconciliation") without
-// giving up joined-mode reads in the quiet phases. The "phased" and
-// "phased-churn" catalog scenarios run this machinery under bursty load
-// and under churn with crashes landing mid-reconciliation.
+// goroutines and drives the phase automatically: lanes count failed lease
+// CASes, and a hysteretic controller scores them per operation — enter/exit
+// thresholds a 5× band apart plus a settle debounce — flipping to split
+// when goroutines race for lanes and rejoining (reconciling first) when
+// traffic calms, so bursty workloads get split-phase throughput (≥3× the
+// shared spine at high contention; see BENCHMARKS.md "Adaptive phase
+// reconciliation") without giving up joined-mode reads in the quiet
+// phases. The "phased" and "phased-churn" catalog scenarios run this
+// machinery under bursty load and under churn with crashes landing
+// mid-reconciliation.
 //
 // # Networked serving
 //
@@ -330,7 +330,7 @@
 // # Schedule sweeps
 //
 // The sweep engine (NewSweep, cmd/renamesweep) turns the deterministic
-// simulator into a fleet: a work-stealing pool of workers, each owning one
+// simulator into a fleet: a pool of workers, each owning one
 // long-lived arena per object kind (blueprint instantiated once, then
 // Runtime.Reset + object Reset per execution — the steady state allocates
 // nothing), burns through the cross product of seeds × adversary families ×
@@ -342,7 +342,7 @@
 //	rep := sw.Run()
 //	os.Stdout.Write(rep.JSON())  // per-object rows + harvested worst cases
 //
-// The report is bit-identical regardless of worker count or steal order:
+// The report is bit-identical regardless of worker count or task order:
 // every per-object statistic is merged commutatively, and worst-case
 // selection breaks ties by task order, not arrival order. -search switches
 // from grid enumeration to an annealing search over adversary seeds and

@@ -87,7 +87,7 @@ func E16Wakeup(cfg Config) *Table {
 		var mean agg
 		ones := -1
 		got := 0
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			sa := core.NewStrongAdaptive(mem, splitter.NewTree(mem), llsc.MakeCompiled)
 			w := core.NewWakeup(mem, k, sa)
 			return func(p shmem.Proc) {
@@ -114,7 +114,7 @@ func E16Wakeup(cfg Config) *Table {
 func renamingSweep(base sortnet.Base, mkFor func(shmem.Mem) tas.SidedMaker) func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
 	return func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
 		names := make([]uint64, k)
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			sa := core.NewStrongAdaptiveWithBase(mem, splitter.NewTree(mem), mkFor(mem), base)
 			return func(p shmem.Proc) {
 				names[p.ID()] = sa.Rename(p, uint64(p.ID())+1)
@@ -137,7 +137,7 @@ func unitMaker(shmem.Mem) tas.SidedMaker     { return tas.MakeUnit }
 func ratRaceSweep(fast bool) func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
 	return func(cfg Config, k int) func(uint64) (*shmem.Stats, bool, uint64) {
 		wins := 0
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			var rr *tas.RatRace
 			if fast {
 				rr = tas.NewRatRaceWithFastPath(mem, tas.MakeTwoProcPool(mem))

@@ -18,46 +18,34 @@ type Config struct {
 	Seeds int
 	// Quick shrinks the parameter sweeps for smoke runs.
 	Quick bool
-	// Fresh rebuilds the runtime and the object graph for every seed
-	// instead of resetting one instantiation (the pre-two-phase behavior;
-	// a comparison knob — results are bit-identical either way, see the
-	// reuse equivalence tests).
-	Fresh bool
 }
 
 // sweep drives one parameter point of an experiment on the compile-once /
 // instantiate-once / reset-many path: a single simulator runtime and a
 // single instantiated object graph serve every seed, reset between
 // executions (allocation-free after the first seed). build instantiates
-// the graph and returns the per-execution body plus its reset; advFor
-// builds a fresh adversary per seed (schedules carry state). With
-// cfg.Fresh everything is rebuilt per seed instead.
+// the graph and returns the per-execution body plus its reset; every seed
+// runs under a fresh uniformly random schedule (schedules carry state).
 type sweep struct {
-	cfg    Config
-	advFor func(seed uint64) sim.Adversary
-	build  func(mem shmem.Mem) (body func(shmem.Proc), reset func())
+	build func(mem shmem.Mem) (body func(shmem.Proc), reset func())
 
 	rt    *sim.Runtime
 	body  func(shmem.Proc)
 	reset func()
 }
 
-// randomAdv is the default uniformly random schedule family.
-func randomAdv(seed uint64) sim.Adversary { return sim.NewRandom(seed) }
-
-func newSweep(cfg Config, advFor func(uint64) sim.Adversary, build func(mem shmem.Mem) (func(shmem.Proc), func())) *sweep {
-	return &sweep{cfg: cfg, advFor: advFor, build: build}
+func newSweep(build func(mem shmem.Mem) (func(shmem.Proc), func())) *sweep {
+	return &sweep{build: build}
 }
 
 // run executes one seed's execution and returns its Stats.
 func (s *sweep) run(seed uint64, k int) *shmem.Stats {
-	switch {
-	case s.cfg.Fresh || s.rt == nil:
-		s.rt = sim.New(seed, s.advFor(seed))
+	if s.rt == nil {
+		s.rt = sim.New(seed, sim.NewRandom(seed))
 		s.body, s.reset = s.build(s.rt)
-	default:
+	} else {
 		s.reset()
-		s.rt.Reset(seed, s.advFor(seed))
+		s.rt.Reset(seed, sim.NewRandom(seed))
 	}
 	return s.rt.Run(k, s.body)
 }
@@ -121,7 +109,7 @@ func E1BitBatching(cfg Config) *Table {
 	}
 	for _, n := range sizes {
 		var probes, steps, total, totalTAS agg
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			bb := core.NewBitBatching(mem, n, tas.MakeTwoProcPool(mem))
 			return func(p shmem.Proc) { bb.Rename(p, uint64(p.ID())+1) }, bb.Reset
 		})
@@ -200,7 +188,7 @@ func E5RenamingNetwork(cfg Config) *Table {
 			var comps, steps agg
 			tight := true
 			names := make([]uint64, k)
-			sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+			sw := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 				rn := core.NewRenamingNetwork(mem, net, tas.MakeTwoProcPool(mem))
 				return func(p shmem.Proc) {
 					names[p.ID()] = rn.Rename(p, uint64(p.ID()*m/k)+1)
@@ -273,7 +261,7 @@ func E8StrongAdaptive(cfg Config) *Table {
 		var meanComps, maxComps, meanSteps, maxSteps, split agg
 		tight := true
 		names := make([]uint64, k)
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			sa := core.NewStrongAdaptive(mem, splitter.NewTree(mem), tas.MakeTwoProcPool(mem))
 			return func(p shmem.Proc) {
 				names[p.ID()] = sa.Rename(p, uint64(p.ID())+1)
@@ -327,7 +315,7 @@ func E9LowerBound(cfg Config) *Table {
 	}
 	for _, k := range ks {
 		var mean agg
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			sa := core.NewStrongAdaptive(mem, splitter.NewTree(mem), tas.MakeTwoProcPool(mem))
 			return func(p shmem.Proc) { sa.Rename(p, uint64(p.ID())+1) }, sa.Reset
 		})
@@ -366,7 +354,7 @@ func E10Counter(cfg Config) *Table {
 		// bodies are built once and capture them).
 		var incs, reads []core.Interval
 		var incSteps, readSteps agg
-		csw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		csw := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			c := core.NewMonotoneCounter(mem, tas.MakeTwoProcPool(mem))
 			return func(p shmem.Proc) {
 				for i := 0; i < sh.each; i++ {
@@ -382,7 +370,7 @@ func E10Counter(cfg Config) *Table {
 			}, c.Reset
 		})
 		// CAS baseline under the same contention shape.
-		casSW := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		casSW := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			cc := core.NewCASCounter(mem)
 			return func(p shmem.Proc) {
 				for i := 0; i < sh.each; i++ {
@@ -392,7 +380,7 @@ func E10Counter(cfg Config) *Table {
 		})
 		// AAC [17] baseline: deterministic, linearizable, the
 		// construction the paper says it beats by a log factor.
-		aacSW := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		aacSW := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			ac := maxreg.NewAACCounter(mem, sh.k)
 			return func(p shmem.Proc) {
 				for i := 0; i < sh.each; i++ {
@@ -460,7 +448,7 @@ func E12LTAS(cfg Config) *Table {
 		linearizable := true
 		var steps agg
 		ops := make([]core.Interval, sh.k)
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			o := core.NewLTestAndSet(mem, sh.ell, tas.MakeTwoProcPool(mem))
 			return func(p shmem.Proc) {
 				s0 := p.Now()
@@ -512,7 +500,7 @@ func E13FetchInc(cfg Config) *Table {
 		var steps agg
 		linearizable := true
 		var ops []core.Interval
-		sw := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		sw := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			f := core.NewFetchInc(mem, sh.m, tas.MakeTwoProcPool(mem))
 			return func(p shmem.Proc) {
 				s0 := p.Now()
@@ -556,15 +544,15 @@ func E14Baselines(cfg Config) *Table {
 		var adSteps, lpSteps, bbSteps agg
 		adObjects, bbObjects := 0, 0
 		var sa *core.StrongAdaptive
-		adSW := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		adSW := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			sa = core.NewStrongAdaptive(mem, splitter.NewTree(mem), tas.MakeTwoProcPool(mem))
 			return func(p shmem.Proc) { sa.Rename(p, uint64(p.ID())+1) }, sa.Reset
 		})
-		lpSW := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		lpSW := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			lp := core.NewLinearProbe(mem, tas.MakeTwoProcPool(mem))
 			return func(p shmem.Proc) { lp.Rename(p, uint64(p.ID())+1) }, lp.Reset
 		})
-		bbSW := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		bbSW := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			bb := core.NewBitBatching(mem, k, tas.MakeTwoProcPool(mem))
 			return func(p shmem.Proc) { bb.Rename(p, uint64(p.ID())+1) }, bb.Reset
 		})

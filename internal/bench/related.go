@@ -29,7 +29,7 @@ func E17CountingNetworks(cfg Config) *Table {
 		// Counting mode: concurrent tokens, step property + values.
 		var vals, counts []uint64
 		var n *countnet.Network
-		countSW := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		countSW := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			n = countnet.NewBitonic(mem, sh.w)
 			done := mem.NewCASReg(0)
 			return func(p shmem.Proc) {
@@ -53,7 +53,7 @@ func E17CountingNetworks(cfg Config) *Table {
 		// Renaming mode: one token per wire → tight ranks.
 		ranks := make([]uint64, sh.k)
 		var n2 *countnet.Network
-		rankSW := newSweep(cfg, randomAdv, func(mem shmem.Mem) (func(shmem.Proc), func()) {
+		rankSW := newSweep(func(mem shmem.Mem) (func(shmem.Proc), func()) {
 			n2 = countnet.NewBitonic(mem, sh.w)
 			return func(p shmem.Proc) {
 				r, _ := n2.Traverse(p, p.ID()*sh.w/sh.k)

@@ -5,7 +5,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -15,12 +14,12 @@ import (
 // Table is one experiment's output: a claim from the paper and the measured
 // rows that reproduce (or refute) its shape.
 type Table struct {
-	ID    string     `json:"id"`
-	Title string     `json:"title"`
-	Claim string     `json:"claim"`
-	Cols  []string   `json:"cols"`
-	Rows  [][]string `json:"rows"`
-	Notes []string   `json:"notes,omitempty"`
+	ID    string
+	Title string
+	Claim string
+	Cols  []string
+	Rows  [][]string
+	Notes []string
 }
 
 // AddRow appends a formatted row.
@@ -87,18 +86,6 @@ func (t *Table) Markdown(w io.Writer) {
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "_Note: %s_\n\n", n)
 	}
-}
-
-// JSONTables writes the tables as one machine-readable JSON document (the
-// renamebench -json format consumed by scripts/bench.sh for the perf
-// trajectory files BENCH_<n>.json).
-func JSONTables(w io.Writer, tables []*Table) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Schema string   `json:"schema"`
-		Tables []*Table `json:"tables"`
-	}{Schema: "renamebench/v1", Tables: tables})
 }
 
 // CSV renders the table as comma-separated values with an id column, for

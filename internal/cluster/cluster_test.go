@@ -279,9 +279,6 @@ func TestClusterScenario(t *testing.T) {
 	if r.Ops == 0 || r.RemoteErrs != 0 {
 		t.Fatalf("ops=%d remoteErrs=%d", r.Ops, r.RemoteErrs)
 	}
-	if !strings.Contains(r.GoBenchRow(), "/cluster") {
-		t.Fatalf("bench row not tagged: %s", r.GoBenchRow())
-	}
 }
 
 // --- failure modes ---

@@ -139,26 +139,8 @@ func (c *MonotoneCounter) Read(p shmem.Proc) uint64 {
 // CAS retry on a single word. Steps per increment are Θ(contention) under
 // an adaptive adversary (each failed CAS is a wasted step), which is the
 // behaviour the paper's counter improves on asymptotically.
-//
-// Every failed CAS also bumps a retry counter — the live contention signal
-// the phased counter's mode switcher consumes (internal/phase). The slots
-// are a fixed padded array indexed by masked process id: allocation-free,
-// and two processes bumping different slots never share a cache line (ids
-// that collide modulo the slot count share one, which only ever
-// *under*-spreads the signal, never loses it).
 type CASCounter struct {
-	v       shmem.FastReg
-	retries [casRetrySlots]retrySlot
-}
-
-// casRetrySlots is the retry-slot count (power of two; masked process id
-// picks the slot).
-const casRetrySlots = 8
-
-// retrySlot keeps one retry counter alone on its cache line.
-type retrySlot struct {
-	n atomic.Uint64
-	_ [56]byte
+	v shmem.FastReg
 }
 
 // NewCASCounter allocates the baseline counter.
@@ -166,13 +148,9 @@ func NewCASCounter(mem shmem.Mem) *CASCounter {
 	return &CASCounter{v: shmem.Fast(mem.NewCASReg(0))}
 }
 
-// Reset restores the counter to zero, retry accounting included. Between
-// executions only.
+// Reset restores the counter to zero. Between executions only.
 func (c *CASCounter) Reset() {
 	c.v.Restore(0)
-	for i := range c.retries {
-		c.retries[i].n.Store(0)
-	}
 }
 
 // Inc atomically increments and returns the new value.
@@ -182,20 +160,7 @@ func (c *CASCounter) Inc(p shmem.Proc) uint64 {
 		if c.v.CompareAndSwap(p, v, v+1) {
 			return v + 1
 		}
-		c.retries[p.ID()&(casRetrySlots-1)].n.Add(1)
 	}
-}
-
-// Retries returns the total failed-CAS count since construction or Reset —
-// the contention gauge: retries/op ≈ how many competitors each increment
-// raced. Summing the padded slots is sampling, not a step-counted
-// operation.
-func (c *CASCounter) Retries() uint64 {
-	var t uint64
-	for i := range c.retries {
-		t += c.retries[i].n.Load()
-	}
-	return t
 }
 
 // Read returns the counter value.

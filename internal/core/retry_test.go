@@ -4,46 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/shmem"
-	"repro/internal/sim"
 )
 
-// TestCASCounterRetriesSolo pins that uncontended increments never touch
-// the retry gauge.
-func TestCASCounterRetriesSolo(t *testing.T) {
-	rt := shmem.NewNative(1)
-	p := rt.NewProc(0)
-	c := NewCASCounter(rt)
-	for i := 0; i < 100; i++ {
-		c.Inc(p)
-	}
-	if r := c.Retries(); r != 0 {
-		t.Fatalf("solo retries = %d, want 0", r)
-	}
-}
-
-// TestCASCounterRetriesUnderRace forces CAS failures deterministically: a
-// lock-step round-robin schedule makes both processes read the word before
-// either CASes, so one CAS per round must fail and the gauge must count it.
-func TestCASCounterRetriesUnderRace(t *testing.T) {
-	rt := sim.New(0, sim.NewRoundRobin())
-	c := NewCASCounter(rt)
-	const k, each = 2, 10
-	rt.Run(k, func(p shmem.Proc) {
-		for i := 0; i < each; i++ {
-			c.Inc(p)
-		}
-	})
-	if r := c.Retries(); r == 0 {
-		t.Fatalf("lock-step contention produced 0 retries, want > 0")
-	}
-	c.Reset()
-	if r := c.Retries(); r != 0 {
-		t.Fatalf("retries after Reset = %d, want 0", r)
-	}
-}
-
-// TestCASCounterIncAllocFree pins that the increment path — retry
-// instrumentation included — allocates nothing.
+// TestCASCounterIncAllocFree pins that the increment path allocates
+// nothing.
 func TestCASCounterIncAllocFree(t *testing.T) {
 	rt := shmem.NewNative(1)
 	p := rt.NewProc(0)

@@ -263,22 +263,3 @@ func lateStr(ns uint64) string {
 	}
 	return fmt.Sprintf("%dns", ns)
 }
-
-// GoBenchRow renders the report as one go-test benchmark line
-// ("BenchmarkScenario/<name> <ops> <value> <unit> ..."), the format
-// scripts/bench.sh folds into BENCH_<n>.json alongside the go test -bench
-// suites. The quantile units follow Report.Unit (ns on the native runtime,
-// steps on the simulator).
-func (r *Report) GoBenchRow() string {
-	u := r.Unit
-	name := r.Scenario
-	if r.Transport != "" {
-		name += "/" + r.Transport
-	}
-	row := fmt.Sprintf("BenchmarkScenario/%s \t %d \t %.1f offered_ops/s \t %.1f achieved_ops/s \t %d p50-%s \t %d p99-%s \t %d p999-%s \t %d crashes",
-		name, r.Ops, r.OfferedOpsSec, r.AchievedOpsSec, r.Total.P50, u, r.Total.P99, u, r.Total.P999, u, r.Crashes)
-	if r.Sheds > 0 {
-		row += fmt.Sprintf(" \t %d sheds", r.Sheds)
-	}
-	return row
-}

@@ -2,12 +2,13 @@
 // split/joined phase-reconciliation architecture lifted onto the paper's
 // counting objects.
 //
-// A phased counter runs in one of two modes over one authoritative spine:
+// A phased counter runs in one of two modes over one authoritative spine,
+// an AAC counter in the merge layout (maxreg.AACCounter):
 //
 //   - Joined: Inc delegates straight to the spine — the instruction stream
 //     of the underlying counter, nothing added but one atomic mode load.
-//     This is the low-contention mode: the spine (the AAC tree, or a CAS
-//     word) is cheapest when nobody is racing it.
+//     This is the low-contention mode: the spine is cheapest when nobody
+//     is racing it.
 //   - Split: Inc lands in a cache-line-padded per-shard cell (one atomic
 //     fetch-and-add, lock-free, allocation-free) and the spine is updated
 //     only on epoch boundaries: when a cell's cumulative count crosses a
@@ -33,8 +34,8 @@
 // merges every cell first and then reads the spine.
 //
 // Mode switching is a serving-tier policy (see Pool): automatic and
-// hysteretic, driven by the live contention gauges the serving layer
-// already maintains (lease/CAS retry rates, in-flight counts). The counter
+// hysteretic, driven by the live contention gauge the serving layer
+// already maintains (failed lane leases per operation). The counter
 // itself keeps SetMode cheap and correct in either direction: switching
 // never invalidates cells (reads always sweep them), it only changes where
 // *new* increments go — so a transition needs no stop-the-world phase
@@ -45,7 +46,6 @@ package phase
 import (
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/maxreg"
 	"repro/internal/shmem"
 )
@@ -68,89 +68,17 @@ func (m Mode) String() string {
 	return "joined"
 }
 
-// Spine is the authoritative counter a phased counter reconciles into.
-// Merge must be idempotent per source (publishing a cumulative total by
-// CAS-max), Read must return joined increments plus merged totals, and
-// ReadJoined must exclude merged totals — the decomposition Read relies on
-// for monotone consistency. maxreg.AACCounter (merge layout) satisfies it
-// directly; CASSpine adapts core.CASCounter.
-type Spine interface {
-	Inc(p shmem.Proc)
-	Read(p shmem.Proc) uint64
-	ReadJoined(p shmem.Proc) uint64
-	Merge(p shmem.Proc, src int, total uint64)
-	shmem.Resettable
-}
-
-// CASSpine adapts the baseline core.CASCounter to the Spine contract: the
-// word counts joined increments, and a padded per-source register bank
-// holds merged totals (advanced by CAS-max, so merges stay idempotent and
-// crash-safe). Read sums the word and the slots — monotone components, as
-// the contract requires.
-type CASSpine struct {
-	c     *core.CASCounter
-	slots []shmem.FastReg
-	arena shmem.RegArena
-}
-
-// NewCASSpine builds the adapter with the given number of merge sources.
-func NewCASSpine(mem shmem.Mem, slots int) *CASSpine {
-	if slots < 1 {
-		slots = 1
-	}
-	a := shmem.NewRegs(mem, slots)
-	s := &CASSpine{c: core.NewCASCounter(mem), arena: a, slots: make([]shmem.FastReg, slots)}
-	for i := range s.slots {
-		s.slots[i] = shmem.FastAt(a, i)
-	}
-	return s
-}
-
-// Inc delegates to the CAS counter.
-func (s *CASSpine) Inc(p shmem.Proc) { s.c.Inc(p) }
-
-// ReadJoined returns the direct-increment word alone.
-func (s *CASSpine) ReadJoined(p shmem.Proc) uint64 { return s.c.Read(p) }
-
-// Read returns joined increments plus every merged total.
-func (s *CASSpine) Read(p shmem.Proc) uint64 {
-	v := s.c.Read(p)
-	for _, r := range s.slots {
-		v += r.Read(p)
-	}
-	return v
-}
-
-// Merge CAS-maxes total into source src's slot.
-func (s *CASSpine) Merge(p shmem.Proc, src int, total uint64) {
-	r := s.slots[src]
-	for {
-		v := r.Read(p)
-		if v >= total {
-			return
-		}
-		if r.CompareAndSwap(p, v, total) {
-			return
-		}
-	}
-}
-
-// Retries exposes the CAS counter's failed-CAS gauge (the Pool's
-// spine-contention signal).
-func (s *CASSpine) Retries() uint64 { return s.c.Retries() }
-
-// Reset rewinds the word and the merge slots. Between executions only.
-func (s *CASSpine) Reset() {
-	s.c.Reset()
-	s.arena.Reset()
-}
-
 // Counter is the phased counter over one spine. It runs on either runtime
 // (native goroutines or the deterministic simulator); process ids index
 // the cells, so ids must stay below the spine's process capacity and
 // shards are id & (cells-1).
+//
+// The spine's merge layout gives Read its decomposition: Merge publishes a
+// source's cumulative total by CAS-max (idempotent per source), the
+// spine's Read returns joined increments plus merged totals, and
+// ReadJoined excludes merged totals.
 type Counter struct {
-	spine Spine
+	spine *maxreg.AACCounter
 	cells *shmem.Cells
 	mask  uint64
 	epoch uint64 // power of two: cooperative merge period per cell
@@ -160,46 +88,30 @@ type Counter struct {
 	merges   atomic.Uint64
 }
 
-// NewCounter builds a phased counter over an explicit spine with the given
-// cell count (rounded up to a power of two) and cooperative epoch (rounded
-// up to a power of two; a cell is merged whenever its cumulative count
-// crosses a multiple of the epoch). It starts Joined.
-func NewCounter(spine Spine, cells, epoch int) *Counter {
+// NewAAC builds the phased counter: an AAC merge-layout spine with lanes
+// process slots, one cell (and one merge slot) per lane, and a cooperative
+// epoch (rounded up to a power of two; a cell is merged whenever its
+// cumulative count crosses a multiple of the epoch). It starts Joined.
+func NewAAC(mem shmem.Mem, lanes, epoch int) *Counter {
+	size := 1
+	for size < lanes {
+		size <<= 1
+	}
 	e := uint64(1)
 	for e < uint64(max(epoch, 1)) {
 		e <<= 1
 	}
-	ca := shmem.NewCells(cells)
-	return &Counter{spine: spine, cells: ca, mask: uint64(ca.Len() - 1), epoch: e}
-}
-
-// NewAAC builds the standard phased counter: an AAC merge-layout spine
-// with lanes process slots, one cell (and one merge slot) per lane.
-func NewAAC(mem shmem.Mem, lanes, epoch int) *Counter {
-	if lanes < 1 {
-		lanes = 1
+	ca := shmem.NewCells(size)
+	return &Counter{
+		spine: maxreg.NewAACCounterWithMerge(mem, size, size),
+		cells: ca,
+		mask:  uint64(ca.Len() - 1),
+		epoch: e,
 	}
-	size := 1
-	for size < lanes {
-		size <<= 1
-	}
-	return NewCounter(maxreg.NewAACCounterWithMerge(mem, size, size), size, epoch)
-}
-
-// NewCAS is NewAAC over the baseline CAS spine.
-func NewCAS(mem shmem.Mem, lanes, epoch int) *Counter {
-	if lanes < 1 {
-		lanes = 1
-	}
-	size := 1
-	for size < lanes {
-		size <<= 1
-	}
-	return NewCounter(NewCASSpine(mem, size), size, epoch)
 }
 
 // Spine returns the authoritative spine.
-func (c *Counter) Spine() Spine { return c.spine }
+func (c *Counter) Spine() *maxreg.AACCounter { return c.spine }
 
 // Mode returns the current mode.
 func (c *Counter) Mode() Mode { return Mode(c.mode.Load()) }

@@ -41,39 +41,31 @@ func phasedBody(ex *exec.Execution, c *phase.Counter, each int) func(p shmem.Pro
 	}
 }
 
-// spines enumerates the two authoritative spines under test.
-var spines = map[string]func(mem shmem.Mem, lanes, epoch int) *phase.Counter{
-	"aac": phase.NewAAC,
-	"cas": phase.NewCAS,
-}
-
 // TestPhasedExactCount pins linearizable-grade exactness after quiescence
-// on both spines under several adversarial schedules: transitions, epochs
-// and cooperative merges lose and double-count nothing.
+// under several adversarial schedules: transitions, epochs and cooperative
+// merges lose and double-count nothing.
 func TestPhasedExactCount(t *testing.T) {
 	const k, each = 4, 6
 	advs := map[string]func(seed uint64) sim.Adversary{
 		"roundrobin": func(uint64) sim.Adversary { return sim.NewRoundRobin() },
 		"random":     func(s uint64) sim.Adversary { return sim.NewRandom(s) },
 	}
-	for sname, mk := range spines {
-		for aname, adv := range advs {
-			for seed := uint64(0); seed < 5; seed++ {
-				rt := sim.New(seed, adv(seed))
-				c := mk(rt, k, 2)
-				ex := exec.New(rt, k)
-				ex.Run(phasedBody(ex, c, each))
-				rt.Reset(seed+100, sim.NewRoundRobin())
-				var final, fast uint64
-				rt.Run(1, func(p shmem.Proc) {
-					final = c.ReadStrict(p)
-					fast = c.Read(p)
-				})
-				want := uint64(k * (each + 1))
-				if final != want || fast != want {
-					t.Fatalf("%s/%s seed=%d: strict=%d fast=%d, want %d",
-						sname, aname, seed, final, fast, want)
-				}
+	for aname, adv := range advs {
+		for seed := uint64(0); seed < 5; seed++ {
+			rt := sim.New(seed, adv(seed))
+			c := phase.NewAAC(rt, k, 2)
+			ex := exec.New(rt, k)
+			ex.Run(phasedBody(ex, c, each))
+			rt.Reset(seed+100, sim.NewRoundRobin())
+			var final, fast uint64
+			rt.Run(1, func(p shmem.Proc) {
+				final = c.ReadStrict(p)
+				fast = c.Read(p)
+			})
+			want := uint64(k * (each + 1))
+			if final != want || fast != want {
+				t.Fatalf("%s seed=%d: strict=%d fast=%d, want %d",
+					aname, seed, final, fast, want)
 			}
 		}
 	}
@@ -85,25 +77,23 @@ func TestPhasedExactCount(t *testing.T) {
 // correctness contract.
 func TestPhasedMonotoneTrace(t *testing.T) {
 	const k, each = 4, 5
-	for sname, mk := range spines {
-		for seed := uint64(0); seed < 5; seed++ {
-			srt := sim.New(seed, sim.NewRandom(seed))
-			c := mk(srt, k, 2)
-			sex := exec.New(srt, k)
-			slog := sex.Record()
-			sex.Run(phasedBody(sex, c, each))
-			if err := exec.CheckCounterTrace(slog); err != nil {
-				t.Fatalf("%s sim seed=%d: %v", sname, seed, err)
-			}
+	for seed := uint64(0); seed < 5; seed++ {
+		srt := sim.New(seed, sim.NewRandom(seed))
+		c := phase.NewAAC(srt, k, 2)
+		sex := exec.New(srt, k)
+		slog := sex.Record()
+		sex.Run(phasedBody(sex, c, each))
+		if err := exec.CheckCounterTrace(slog); err != nil {
+			t.Fatalf("sim seed=%d: %v", seed, err)
+		}
 
-			nrt := shmem.NewNative(seed)
-			nc := mk(nrt, k, 2)
-			nex := exec.New(nrt, k)
-			nlog := nex.Record()
-			nex.Run(phasedBody(nex, nc, each))
-			if err := exec.CheckCounterTrace(nlog); err != nil {
-				t.Fatalf("%s native seed=%d: %v", sname, seed, err)
-			}
+		nrt := shmem.NewNative(seed)
+		nc := phase.NewAAC(nrt, k, 2)
+		nex := exec.New(nrt, k)
+		nlog := nex.Record()
+		nex.Run(phasedBody(nex, nc, each))
+		if err := exec.CheckCounterTrace(nlog); err != nil {
+			t.Fatalf("native seed=%d: %v", seed, err)
 		}
 	}
 }
@@ -116,60 +106,58 @@ func TestPhasedMonotoneTrace(t *testing.T) {
 // within [completed, started].
 func TestPhasedCrashStormSim(t *testing.T) {
 	const k, each = 4, 6
-	for sname, mk := range spines {
-		var crashed int
-		for seed := uint64(0); seed < 3; seed++ {
-			for step := uint64(0); step < 30; step += 2 {
-				rt := sim.New(seed, sim.NewRandom(seed))
-				c := mk(rt, k, 2)
-				ex := exec.New(rt, k)
-				ex.Faults(exec.NewFaultPlan().CrashAt(1, step).CrashAt(2, step+3))
-				log := ex.Record()
-				// started/completed are plain counters: the simulator
-				// serializes process steps, so the body needs no atomics.
-				var started, completed uint64
-				st := ex.Run(func(p shmem.Proc) {
-					if p.ID() == 0 {
-						c.SetMode(phase.Split)
-					}
-					for i := 0; i < each; i++ {
-						started++
-						ex.MarkIncStart(p)
-						c.Inc(p)
-						ex.MarkIncEnd(p)
-						completed++
-						ex.MarkReadStart(p)
-						ex.MarkRead(p, c.Read(p))
-					}
-					if p.ID() == 0 {
-						c.SetMode(phase.Joined)
-					}
+	var crashed int
+	for seed := uint64(0); seed < 3; seed++ {
+		for step := uint64(0); step < 30; step += 2 {
+			rt := sim.New(seed, sim.NewRandom(seed))
+			c := phase.NewAAC(rt, k, 2)
+			ex := exec.New(rt, k)
+			ex.Faults(exec.NewFaultPlan().CrashAt(1, step).CrashAt(2, step+3))
+			log := ex.Record()
+			// started/completed are plain counters: the simulator
+			// serializes process steps, so the body needs no atomics.
+			var started, completed uint64
+			st := ex.Run(func(p shmem.Proc) {
+				if p.ID() == 0 {
+					c.SetMode(phase.Split)
+				}
+				for i := 0; i < each; i++ {
 					started++
 					ex.MarkIncStart(p)
 					c.Inc(p)
 					ex.MarkIncEnd(p)
 					completed++
-				})
-				for _, cr := range st.Crashed {
-					if cr {
-						crashed++
-					}
+					ex.MarkReadStart(p)
+					ex.MarkRead(p, c.Read(p))
 				}
-				if err := exec.CheckCounterTrace(log); err != nil {
-					t.Fatalf("%s seed=%d crash@%d: %v", sname, seed, step, err)
+				if p.ID() == 0 {
+					c.SetMode(phase.Joined)
 				}
-				rt.Reset(seed+999, sim.NewRoundRobin())
-				var final uint64
-				rt.Run(1, func(p shmem.Proc) { final = c.ReadStrict(p) })
-				if final < completed || final > started {
-					t.Fatalf("%s seed=%d crash@%d: strict=%d outside [completed=%d, started=%d]",
-						sname, seed, step, final, completed, started)
+				started++
+				ex.MarkIncStart(p)
+				c.Inc(p)
+				ex.MarkIncEnd(p)
+				completed++
+			})
+			for _, cr := range st.Crashed {
+				if cr {
+					crashed++
 				}
 			}
+			if err := exec.CheckCounterTrace(log); err != nil {
+				t.Fatalf("seed=%d crash@%d: %v", seed, step, err)
+			}
+			rt.Reset(seed+999, sim.NewRoundRobin())
+			var final uint64
+			rt.Run(1, func(p shmem.Proc) { final = c.ReadStrict(p) })
+			if final < completed || final > started {
+				t.Fatalf("seed=%d crash@%d: strict=%d outside [completed=%d, started=%d]",
+					seed, step, final, completed, started)
+			}
 		}
-		if crashed == 0 {
-			t.Fatalf("%s: crash storm never fired", sname)
-		}
+	}
+	if crashed == 0 {
+		t.Fatal("crash storm never fired")
 	}
 }
 
@@ -178,29 +166,27 @@ func TestPhasedCrashStormSim(t *testing.T) {
 // way (run with -race in CI).
 func TestPhasedCrashStormNative(t *testing.T) {
 	const k, each = 4, 6
-	for sname, mk := range spines {
-		var crashed int
-		for seed := uint64(0); seed < 2; seed++ {
-			for step := uint64(0); step < 24; step += 3 {
-				rt := shmem.NewNative(seed)
-				c := mk(rt, k, 2)
-				ex := exec.New(rt, k)
-				ex.Faults(exec.NewFaultPlan().CrashAt(1, step).CrashAt(3, step+2))
-				log := ex.Record()
-				st := ex.Run(phasedBody(ex, c, each))
-				for _, cr := range st.Crashed {
-					if cr {
-						crashed++
-					}
-				}
-				if err := exec.CheckCounterTrace(log); err != nil {
-					t.Fatalf("%s seed=%d crash@%d: %v", sname, seed, step, err)
+	var crashed int
+	for seed := uint64(0); seed < 2; seed++ {
+		for step := uint64(0); step < 24; step += 3 {
+			rt := shmem.NewNative(seed)
+			c := phase.NewAAC(rt, k, 2)
+			ex := exec.New(rt, k)
+			ex.Faults(exec.NewFaultPlan().CrashAt(1, step).CrashAt(3, step+2))
+			log := ex.Record()
+			st := ex.Run(phasedBody(ex, c, each))
+			for _, cr := range st.Crashed {
+				if cr {
+					crashed++
 				}
 			}
+			if err := exec.CheckCounterTrace(log); err != nil {
+				t.Fatalf("seed=%d crash@%d: %v", seed, step, err)
+			}
 		}
-		if crashed == 0 {
-			t.Fatalf("%s: native crash storm never fired", sname)
-		}
+	}
+	if crashed == 0 {
+		t.Fatal("native crash storm never fired")
 	}
 }
 

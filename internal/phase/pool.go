@@ -36,17 +36,14 @@ type Options struct {
 	Epoch int
 	// Seed derives the pool runtime's coin streams.
 	Seed uint64
-	// CASSpine selects the baseline CAS-word spine instead of the default
-	// AAC merge-layout tree.
-	CASSpine bool
 	// Policy selects mode control (default Auto).
 	Policy Policy
 	// TickOps is the auto controller's evaluation period in per-lane
 	// operations (rounded up to a power of two; default 4096).
 	TickOps uint64
-	// EnterSplit is the contention score — (lease retries + spine CAS
-	// retries) per operation over the last tick — at or above which a
-	// joined counter votes to split (default 0.05).
+	// EnterSplit is the contention score — failed lane leases per
+	// operation over the last tick — at or above which a joined counter
+	// votes to split (default 0.05).
 	EnterSplit float64
 	// ExitSplit is the score at or below which a split counter votes to
 	// rejoin (default 0.01; must sit below EnterSplit — the hysteresis
@@ -117,16 +114,11 @@ type lane struct {
 // Pool serves one shared phased counter to arbitrarily many goroutines on
 // one native runtime. Unlike serve.Pool — disjoint object graphs checked
 // out whole — every operation here targets the *same* counter; the lanes
-// only multiplex proc contexts and collect the contention signals the auto
-// controller consumes:
-//
-//   - lease retries: a failed lane-lease CAS means two goroutines raced
-//     one lane — the checkout-path analogue of serve's freelist retry
-//     gauge;
-//   - spine CAS retries (CAS spine only): core.CASCounter's failed-CAS
-//     counters, contention on the authoritative word itself;
-//   - InFlight: lanes held right now, the live-operation gauge shaped
-//     like serve.Pool.InFlight.
+// only multiplex proc contexts and collect the contention signal the auto
+// controller consumes: lease retries. A failed lane-lease CAS means two
+// goroutines raced one lane — the checkout-path analogue of serve's
+// freelist retry gauge. InFlight (lanes held right now, shaped like
+// serve.Pool.InFlight) is reported but does not drive the controller.
 //
 // The controller folds retries into a per-op score and switches the
 // counter's mode with hysteresis (enter/exit thresholds a band apart, and
@@ -135,7 +127,6 @@ type lane struct {
 type Pool struct {
 	rt    *shmem.Native
 	c     *Counter
-	spine *CASSpine // non-nil when the spine is the CAS adapter
 	lanes []lane
 	mask  uint64
 	opts  Options
@@ -155,18 +146,10 @@ type Pool struct {
 func NewPool(opts Options) *Pool {
 	opts = opts.withDefaults()
 	rt := shmem.NewNative(opts.Seed)
-	var c *Counter
-	var spine *CASSpine
-	if opts.CASSpine {
-		c = NewCAS(rt, opts.Lanes, opts.Epoch)
-		spine = c.Spine().(*CASSpine)
-	} else {
-		c = NewAAC(rt, opts.Lanes, opts.Epoch)
-	}
+	c := NewAAC(rt, opts.Lanes, opts.Epoch)
 	p := &Pool{
 		rt:    rt,
 		c:     c,
-		spine: spine,
 		lanes: make([]lane, opts.Lanes),
 		mask:  uint64(opts.Lanes - 1),
 		opts:  opts,
@@ -258,9 +241,8 @@ func (p *Pool) finish(ln *lane) {
 
 // tick runs one controller evaluation (single evaluator; losers skip).
 // The score is contention per operation since the last tick: lease
-// retries plus spine CAS retries over completed ops. Hysteresis is a
-// threshold band (EnterSplit > ExitSplit) plus a Settle-tick debounce in
-// both directions.
+// retries over completed ops. Hysteresis is a threshold band
+// (EnterSplit > ExitSplit) plus a Settle-tick debounce in both directions.
 func (p *Pool) tick(proc *shmem.NativeProc) {
 	if !p.evaluating.CompareAndSwap(0, 1) {
 		return
@@ -271,9 +253,6 @@ func (p *Pool) tick(proc *shmem.NativeProc) {
 	for i := range p.lanes {
 		ops += p.lanes[i].ops.Load()
 		retries += p.lanes[i].retries.Load()
-	}
-	if p.spine != nil {
-		retries += p.spine.Retries()
 	}
 	dOps := ops - p.lastOps
 	dRetries := retries - p.lastRetries
@@ -363,7 +342,6 @@ type Stats struct {
 	Merges       uint64 // cell merges into the spine
 	Ops          uint64 // operations served
 	LeaseRetries uint64 // failed lane-lease CASes
-	SpineRetries uint64 // failed spine CASes (CAS spine only)
 	InFlight     int    // lanes held right now
 	Lag          uint64 // unmerged counts: fast value − spine value
 }
@@ -375,9 +353,6 @@ func (p *Pool) Stats() Stats {
 		st.Ops += p.lanes[i].ops.Load()
 		st.LeaseRetries += p.lanes[i].retries.Load()
 		st.InFlight += int(p.lanes[i].leased.Load())
-	}
-	if p.spine != nil {
-		st.SpineRetries = p.spine.Retries()
 	}
 	ln := p.lease()
 	st.Lag = p.c.Lag(ln.proc)

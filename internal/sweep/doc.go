@@ -1,4 +1,4 @@
-// Package sweep is a work-stealing engine for mass deterministic
+// Package sweep is a parallel engine for mass deterministic
 // simulation: it runs thousands of simulated executions per second across
 // GOMAXPROCS workers and aggregates the results into a report that is
 // bit-identical for any worker count.
@@ -20,20 +20,21 @@
 //     state, several times cheaper than the naive instantiate-per-run loop
 //     (see BENCHMARKS.md, "The sweep engine").
 //   - Tasks — (object × adversary family × crash plan × seed) tuples,
-//     identified by a single index — are sharded into per-worker deques
-//     with Chase-Lev-style stealing, so load imbalance (crash runs
-//     disable burst fast paths and cost more) evens out without a shared
-//     queue bottleneck.
+//     identified by a single index — are all known before any worker
+//     starts, so workers take the next index from one shared atomic
+//     counter. A worker that draws an expensive task (crash runs disable
+//     burst fast paths and cost more) simply takes fewer, so load
+//     imbalance evens out with no queue to balance.
 //
 // # Deterministic aggregation
 //
-// Work stealing makes execution order nondeterministic, so nothing
+// Which worker runs which task is nondeterministic, so nothing
 // order-dependent may leak into results. Every task is a pure function of
 // its index; per-worker accumulators combine executions with commutative,
 // associative operations only (sums, min/max with total-order tie-breaks
 // on task index, and checksums that add per-task hashes), and the final
 // merge folds workers in index order. The aggregate Report is therefore
-// bit-identical across -workers 1, -workers N, and any steal interleaving
+// bit-identical across -workers 1, -workers N, and any task interleaving
 // — pinned by TestSweepDeterminism.
 //
 // # Schedule search and harvesting

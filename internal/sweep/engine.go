@@ -59,33 +59,30 @@ func New(space *Space, opts Options) (*Sweep, error) {
 	return &Sweep{space: space, opts: opts.withDefaults()}, nil
 }
 
-// engine is the shared state of one Run: the deques, the outstanding-task
-// count, and the resolved mode.
+// engine is the shared state of one Run: the task count, the next task
+// index, and the resolved mode.
 type engine struct {
-	sp        *Space
-	opts      Options
-	deques    []*deque
-	remaining atomic.Int64
+	sp    *Space
+	tasks int64
+	next  atomic.Int64
 	// search mode (0 = grid): iterations per chain and chains per object.
 	iters  int
 	chains int
 }
 
-// worker is one stealing goroutine: a long-lived arena plus per-object
-// accumulators. Workers share nothing but the deques and the remaining
-// counter; results meet only in the final merge.
+// worker is one goroutine: a long-lived arena plus per-object
+// accumulators. Workers share nothing but the next task index; results
+// meet only in the final merge.
 type worker struct {
-	id    int
 	eng   *engine
 	arena *arena
-	dq    *deque
 	accs  []objAcc
 }
 
 // Run executes the sweep and returns the aggregate report.
 func (s *Sweep) Run() *Report {
 	sp, opts := s.space, s.opts
-	e := &engine{sp: sp, opts: opts}
+	e := &engine{sp: sp}
 
 	mode := "grid"
 	n := sp.Tasks()
@@ -112,30 +109,18 @@ func (s *Sweep) Run() *Report {
 		workers = 1
 	}
 
-	// Block-partition the task indices into per-worker deques before any
-	// worker starts: consecutive indices share an object (objects vary
-	// outermost in the task encoding), so each arena's slots stay hot, and
-	// pre-seeding keeps the deque buffers append-free while thieves run.
-	e.deques = make([]*deque, workers)
+	// Workers take task indices in ascending order from one shared
+	// counter: consecutive indices share an object (objects vary outermost
+	// in the task encoding), so each arena's slots stay hot.
+	e.tasks = int64(n)
 	ws := make([]*worker, workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		dq := newDeque(hi - lo + 1)
-		// Push in reverse: the owner pops the bottom, so it consumes its
-		// block in ascending task order while thieves steal from the back.
-		for t := hi - 1; t >= lo; t-- {
-			dq.push(int32(t))
-		}
-		e.deques[w] = dq
+	for w := range ws {
 		ws[w] = &worker{
-			id:    w,
 			eng:   e,
 			arena: newArena(sp.Objects, opts.StepCap),
-			dq:    dq,
 			accs:  make([]objAcc, len(sp.Objects)),
 		}
 	}
-	e.remaining.Store(int64(n))
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -163,40 +148,20 @@ func (s *Sweep) Run() *Report {
 	return s.report(mode, workers, n, merged, elapsed)
 }
 
-// loop drains the worker's own deque, then steals; it exits when every
-// task in the system is done.
+// loop takes the next task index until every task is taken.
 func (w *worker) loop() {
 	e := w.eng
 	for {
-		t, ok := w.dq.pop()
-		if !ok {
-			t, ok = w.steal()
-		}
-		if !ok {
-			if e.remaining.Load() == 0 {
-				return
-			}
-			runtime.Gosched()
-			continue
+		t := e.next.Add(1) - 1
+		if t >= e.tasks {
+			return
 		}
 		if e.iters > 0 {
 			w.runChain(int(t))
 		} else {
 			w.runTask(int(t))
 		}
-		e.remaining.Add(-1)
 	}
-}
-
-// steal scans the other deques round-robin from the worker's successor.
-func (w *worker) steal() (int32, bool) {
-	dqs := w.eng.deques
-	for i := 1; i < len(dqs); i++ {
-		if t, ok := dqs[(w.id+i)%len(dqs)].steal(); ok {
-			return t, true
-		}
-	}
-	return 0, false
 }
 
 // runTask executes one grid task: decode, rearm the arena, run, evaluate,

@@ -62,7 +62,7 @@ func (r runRef) before(o runRef) bool {
 }
 
 // beats is the worst-case order: more steps wins; ties go to the earliest
-// execution in task order (steal order must not pick the winner).
+// execution in task order (which worker ran it must not pick the winner).
 func (r runRef) beats(o runRef) bool {
 	if r.steps != o.steps {
 		return r.steps > o.steps
@@ -74,7 +74,7 @@ func (r runRef) beats(o runRef) bool {
 // combines commutatively and associatively across workers — sums, a max
 // with a total-order tie-break, a min by total order, and a checksum that
 // adds per-execution hashes — so the merged aggregate is independent of
-// worker count and steal order.
+// worker count and of which worker ran which task.
 type objAcc struct {
 	execs      uint64
 	crashes    uint64
@@ -207,7 +207,7 @@ type Report struct {
 
 // Stable returns a copy with the wall-clock fields and the worker count
 // zeroed — the part of the report that must be bit-identical across
-// worker counts, steal orders, and repeated runs.
+// worker counts, task interleavings, and repeated runs.
 func (r *Report) Stable() *Report {
 	c := *r
 	c.Workers = 0

@@ -16,8 +16,8 @@ import (
 //
 // Each chain is a pure function of its task index: the decision RNG
 // derives from (runtime seed, chain index), so the harvested worst cases
-// are bit-identical across worker counts and steal orders, exactly like
-// the grid.
+// are bit-identical across worker counts and task interleavings, exactly
+// like the grid.
 
 // chainState is one annealing chain's current point: an adversary seed and
 // a crash plan, both mutable in place.

@@ -194,7 +194,7 @@ func (p PlanSpec) String() string {
 // objects × adversary families × crash plans × seeds. Each task is
 // identified by one index; Decode recovers the tuple. Objects vary
 // outermost so consecutive task indices hit the same arena slot (the
-// instantiated object stays hot under block-partitioned deques), and
+// instantiated object stays hot while workers take indices in order), and
 // seeds vary innermost.
 type Space struct {
 	Objects []ObjectSpec

@@ -3,8 +3,6 @@ package sweep
 import (
 	"bytes"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -35,7 +33,7 @@ func runStable(t *testing.T, sp *Space, opts Options) []byte {
 }
 
 // TestGridDeterminism pins the sweep's core contract: the stable report is
-// bit-identical across worker counts, steal orders, and repeated runs.
+// bit-identical across worker counts, task interleavings, and repeated runs.
 func TestGridDeterminism(t *testing.T) {
 	sp := testSpace(t, []string{"rename4", "bitbatch64", "counter8"}, 3)
 	base := runStable(t, sp, Options{Workers: 1})
@@ -148,7 +146,7 @@ func TestWorkerTaskAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &engine{sp: sp, opts: s.opts}
+	e := &engine{sp: sp}
 	w := &worker{
 		eng:   e,
 		arena: newArena(sp.Objects, s.opts.StepCap),
@@ -192,61 +190,6 @@ func TestCheckNames(t *testing.T) {
 	for _, c := range cases {
 		if got := checkNames(c.names, c.crashed, c.bound, c.tight); got != c.want {
 			t.Errorf("%s: checkNames = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestDequeStress hammers one deque with an owner and several thieves and
-// checks every task is consumed exactly once. Run with -race in CI.
-func TestDequeStress(t *testing.T) {
-	const n = 1 << 14
-	const thieves = 3
-	d := newDeque(n)
-	for i := n - 1; i >= 0; i-- {
-		d.push(int32(i))
-	}
-	var seen [n]atomic.Int32
-	var taken atomic.Int64
-	var wg sync.WaitGroup
-	consume := func(v int32) {
-		seen[v].Add(1)
-		taken.Add(1)
-	}
-	wg.Add(1 + thieves)
-	go func() { // owner
-		defer wg.Done()
-		for {
-			v, ok := d.pop()
-			if !ok {
-				if taken.Load() == n {
-					return
-				}
-				runtime.Gosched()
-				continue
-			}
-			consume(v)
-		}
-	}()
-	for i := 0; i < thieves; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				v, ok := d.steal()
-				if !ok {
-					if taken.Load() == n {
-						return
-					}
-					runtime.Gosched()
-					continue
-				}
-				consume(v)
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range seen {
-		if c := seen[i].Load(); c != 1 {
-			t.Fatalf("task %d consumed %d times", i, c)
 		}
 	}
 }

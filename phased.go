@@ -14,7 +14,7 @@ import (
 
 type (
 	// PhasedCounter is the split/joined phased counter over one
-	// authoritative spine (the AAC tree by default). Joined mode delegates
+	// authoritative spine, an AAC counter tree. Joined mode delegates
 	// every Inc to the spine; split mode absorbs Incs into padded per-shard
 	// cells reconciled on epoch boundaries. Reads stay monotone-consistent
 	// in both modes and across transitions.

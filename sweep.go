@@ -3,7 +3,7 @@ package renaming
 import "repro/internal/sweep"
 
 // This file is the facade over internal/sweep, the parallel sweep engine:
-// a work-stealing fleet of deterministic simulated executions with
+// a worker fleet of deterministic simulated executions with
 // per-worker arenas (run-state built once, reset per execution), validity
 // checking, annealing search for worst-case schedules, and harvesting —
 // re-recording worst cases through the execution layer and proving the
