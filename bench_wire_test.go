@@ -106,10 +106,10 @@ func BenchmarkWireRenameTraced(b *testing.B) {
 }
 
 // BenchmarkWireCounterInc is the counter path over the wire at a working
-// batch size.
+// batch size: increments of the server's shared phased counter.
 func BenchmarkWireCounterInc(b *testing.B) {
-	benchWireBatch(b, 8, func(bt *renaming.WireBatch, i int) {
-		bt.Inc(uint64(i & 7))
+	benchWireBatch(b, 8, func(bt *renaming.WireBatch, _ int) {
+		bt.PhasedInc()
 	})
 }
 

@@ -158,7 +158,7 @@ func TestOnePortServesWireAndHTTP(t *testing.T) {
 		t.Fatalf("dial wire: %v", err)
 	}
 	defer c.Close()
-	for _, op := range []wire.OpCode{wire.OpRename, wire.OpInc, wire.OpRead, wire.OpPhasedInc} {
+	for _, op := range []wire.OpCode{wire.OpRename, wire.OpPhasedInc, wire.OpPhasedRead, wire.OpPhasedReadStrict} {
 		if _, err := c.Do(op, 7); err != nil {
 			t.Fatalf("wire op %d on the shared port: %v", op, err)
 		}
@@ -169,8 +169,8 @@ func TestOnePortServesWireAndHTTP(t *testing.T) {
 	checkRoutes(t, addr, []route{
 		{"GET", "/metrics", 200, []string{"netserve_conns_accepted_total 1\n"}},
 	})
-	if _, err := c.Do(wire.OpRead, 7); err != nil {
-		t.Fatalf("wire op after a scrape: %v", err)
+	if v, err := c.Do(wire.OpPhasedReadStrict, 7); err != nil || v != 1 {
+		t.Fatalf("wire op after a scrape: strict read %d, err %v, want the 1 inc", v, err)
 	}
 
 	c.Close()

@@ -141,12 +141,12 @@
 // The workload harness turns "run a benchmark" into "serve a workload":
 // a Scenario declares an arrival process (closed-loop with think time, or
 // open-loop steady/Poisson/square-wave-burst/linear-ramp arrivals), an
-// operation mix (pooled renames, counter incs/reads, k-process execution
-// waves), a duration and op budget, optional churn (the wave width k(t)
-// follows a triangle wave — time-varying contention, the adaptive case the
-// paper is about), and an optional FaultPlan armed on every wave (crash
-// storms mid-load). LoadCatalog holds ~9 curated scenarios; RunScenario
-// executes one against the pools:
+// operation mix (pooled renames, increments and reads of the shared phased
+// counter, k-process execution waves), a duration and op budget, optional
+// churn (the wave width k(t) follows a triangle wave — time-varying
+// contention, the adaptive case the paper is about), and an optional
+// FaultPlan armed on every wave (crash storms mid-load). LoadCatalog holds
+// a dozen curated scenarios; RunScenario executes one against the pools:
 //
 //	s, _ := renaming.FindScenario("churn")
 //	r := renaming.RunScenario(s, renaming.NewLoadTarget(s.Seed))
@@ -187,9 +187,8 @@
 //   - Split: each serving lane absorbs Incs into its own cache-line-padded
 //     cell with a plain atomic add (lock-free, allocation-free), and merges
 //     the cell's cumulative count into the spine's CAS-max merge slots
-//     whenever it crosses an epoch boundary — cooperatively on the
-//     incrementing lane's own step, or from a dedicated reconciler
-//     goroutine (WithReconcileEvery).
+//     whenever it crosses an epoch boundary, cooperatively on the
+//     incrementing lane's own step.
 //
 // Reads stay monotone-consistent in both phases and across transitions:
 // Read sums the spine's joined component with the cumulative cells (cells
@@ -214,16 +213,21 @@
 //
 // # Networked serving
 //
-// The wire tier puts the sharded pools behind a socket: ListenWire serves
-// a batched, length-prefixed binary protocol (rename, counter inc/read,
-// phased-counter verbs, k-process execution waves), and DialWire returns
-// a pipelining client that keeps many batches in flight per connection,
-// correlated by sequence number out of one reader loop:
+// The wire tier puts the serving pools behind a socket: ListenWire serves
+// a batched, length-prefixed binary protocol (rename, increments and reads
+// of one shared phased counter, k-process execution waves), and DialWire
+// returns a pipelining client that keeps many batches in flight per
+// connection, correlated by sequence number out of one reader loop:
 //
 //	srv, _ := renaming.ListenWire("127.0.0.1:7411", renaming.NewLoadTarget(1))
 //	c, _ := renaming.DialWire("127.0.0.1:7411", time.Second)
-//	name, _ := c.Do(renaming.WireRename, key)          // group-committed
-//	vals, _ := c.NewBatch().Inc(3).Inc(3).Read(3).Commit() // explicit batch
+//	name, _ := c.Do(renaming.WireRename, key) // group-committed
+//	vals, _ := c.NewBatch().PhasedInc().PhasedInc().PhasedReadStrict().Commit()
+//
+// The counter on the wire is the phased counter, shared by every client:
+// the paper's monotone counter is one-shot (each Inc enters its renaming
+// network as a new participant), so a server can neither share one nor
+// reset it after every op and still count.
 //
 // The frame is the unit of everything: one request batch is one write
 // syscall, one server decode, and one reply frame, so the per-round-trip
@@ -269,7 +273,7 @@
 //	ring, _ := renaming.NewClusterRing(addrs, 1<<20)
 //	c, _ := renaming.DialCluster(ring, time.Second)
 //	bt := c.NewBatch()
-//	bt.Rename(7).Inc(3).Read(3)
+//	bt.Rename(7).Rename(9).Add(renaming.WirePhasedInc, 3, 0) // by key
 //	vals, _ := bt.Commit() // sub-frames fanned out, gathered in order
 //
 // Rename replies come back offset into the owning node's range, so

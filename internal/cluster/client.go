@@ -228,12 +228,6 @@ func (b *Batch) Add(code wire.OpCode, key, arg uint64) *Batch {
 // name (node-local name offset by the owning node's range base).
 func (b *Batch) Rename(key uint64) *Batch { return b.Add(wire.OpRename, key, key) }
 
-// Inc appends a pooled-counter increment routed by key.
-func (b *Batch) Inc(key uint64) *Batch { return b.Add(wire.OpInc, key, key) }
-
-// Read appends a pooled-counter read routed by key.
-func (b *Batch) Read(key uint64) *Batch { return b.Add(wire.OpRead, key, key) }
-
 // Wave appends a k-process execution wave on the node owning key.
 func (b *Batch) Wave(key uint64, k int) *Batch { return b.Add(wire.OpWave, key, uint64(k)) }
 

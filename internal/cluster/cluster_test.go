@@ -196,7 +196,7 @@ func TestClusterRoundTrip(t *testing.T) {
 	k0 := keyFor(t, ring, 0, 0)
 	k1 := keyFor(t, ring, 1, 0)
 	k2 := keyFor(t, ring, 2, 0)
-	b.Rename(k0).Inc(k1).Rename(k2).Read(k1).Rename(k1).Wave(k0, 4)
+	b.Rename(k0).Add(wire.OpPhasedInc, k1, 0).Rename(k2).Add(wire.OpPhasedReadStrict, k1, 0).Rename(k1).Wave(k0, 4)
 	vals, err := b.Commit()
 	if err != nil {
 		t.Fatalf("batch: %v", err)
@@ -207,9 +207,9 @@ func TestClusterRoundTrip(t *testing.T) {
 	if !inRange(vals[0], 0) || !inRange(vals[2], 2) || !inRange(vals[4], 1) {
 		t.Fatalf("rename replies %d/%d/%d not offset into node ranges", vals[0], vals[2], vals[4])
 	}
-	// Fresh instance per keyed checkout (the pool contract): inc=1, read=0.
-	if vals[1] != 1 || vals[3] != 0 {
-		t.Fatalf("counter values inc=%d read=%d, want 1/0", vals[1], vals[3])
+	// Node 1's phased counter holds the one inc routed to it.
+	if vals[1] != 0 || vals[3] != 1 {
+		t.Fatalf("phased inc=%d strict read=%d, want 0/1", vals[1], vals[3])
 	}
 	if vals[5] != 4 {
 		t.Fatalf("wave width %d, want 4", vals[5])
@@ -324,7 +324,8 @@ func TestClusterDialNodeDown(t *testing.T) {
 // TestClusterNodeDeathMidScatter kills one node and commits a batch that
 // spans both: the dead node's ops fail with a *NodeError carrying the node
 // id and wrapping the wire client's *DroppedError, while the live node's
-// replies are still delivered with correct values.
+// replies are still delivered with correct values and its phased counter
+// holds exactly the incs sent to it.
 func TestClusterNodeDeathMidScatter(t *testing.T) {
 	ring, srvs := startCluster(t, 2, 1<<20, netserve.Options{})
 	c := dialCluster(t, ring)
@@ -333,16 +334,16 @@ func TestClusterNodeDeathMidScatter(t *testing.T) {
 	k1 := keyFor(t, ring, 1, 0)
 
 	// Warm both connections so the death is mid-stream, not at dial.
-	if _, err := c.Do(wire.OpRead, k0, k0); err != nil {
+	if _, err := c.Do(wire.OpPhasedRead, k0, 0); err != nil {
 		t.Fatalf("warm node 0: %v", err)
 	}
-	if _, err := c.Do(wire.OpRead, k1, k1); err != nil {
+	if _, err := c.Do(wire.OpPhasedRead, k1, 0); err != nil {
 		t.Fatalf("warm node 1: %v", err)
 	}
 
 	srvs[1].Close()
 
-	b := c.NewBatch().Rename(k0).Inc(k1).Inc(k0)
+	b := c.NewBatch().Rename(k0).Add(wire.OpPhasedInc, k1, 0).Add(wire.OpPhasedInc, k0, 0)
 	vals, err := b.Commit()
 	if err == nil {
 		t.Fatalf("batch over a dead node reported no error")
@@ -364,8 +365,8 @@ func TestClusterNodeDeathMidScatter(t *testing.T) {
 	if vals[0] < nd0.Base || vals[0] >= nd0.Base+nd0.Span {
 		t.Fatalf("live node's rename reply %d outside range %s", vals[0], nd0.Range())
 	}
-	if vals[2] != 1 {
-		t.Fatalf("live node's inc reply %d, want 1", vals[2])
+	if vals[2] != 0 {
+		t.Fatalf("live node's phased inc reply %d, want 0", vals[2])
 	}
 	if b.OpErr(0) != nil || b.OpErr(2) != nil {
 		t.Fatalf("live node's ops carry errors: %v / %v", b.OpErr(0), b.OpErr(2))
@@ -375,9 +376,12 @@ func TestClusterNodeDeathMidScatter(t *testing.T) {
 	}
 
 	// The live node's connection is untouched: the client keeps serving the
-	// surviving slice of the key space.
-	if _, err := c.Do(wire.OpInc, k0, k0); err != nil {
+	// surviving slice of the key space, and its counter holds both incs.
+	if _, err := c.Do(wire.OpPhasedInc, k0, 0); err != nil {
 		t.Fatalf("live node unusable after sibling death: %v", err)
+	}
+	if v, err := c.Do(wire.OpPhasedReadStrict, k0, 0); err != nil || v != 2 {
+		t.Fatalf("live node's strict read %d (err %v), want the 2 incs sent to it", v, err)
 	}
 }
 
@@ -419,7 +423,7 @@ func TestClusterShedSurfaced(t *testing.T) {
 	for shedErr == nil && time.Now().Before(deadline) {
 		b.Reset()
 		for i := uint64(0); i < 64; i++ {
-			b.Inc(1)
+			b.Add(wire.OpPhasedInc, 1, 0)
 		}
 		if _, err := b.Commit(); err != nil {
 			shedErr = err
@@ -444,7 +448,7 @@ func TestClusterShedSurfaced(t *testing.T) {
 	}
 
 	// Retryable and batch-scoped: the same connection serves the next batch.
-	if _, err := c.Do(wire.OpInc, 1, 1); err != nil {
+	if _, err := c.Do(wire.OpPhasedInc, 1, 0); err != nil {
 		t.Fatalf("connection dead after shed: %v", err)
 	}
 	if !strings.Contains(srvs[0].MetricsText(), "netserve_shed_total") {

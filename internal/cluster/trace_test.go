@@ -230,7 +230,7 @@ func TestClusterStagesUnderAdmission(t *testing.T) {
 		}
 		b.Reset().WithDeadline(5 * time.Millisecond)
 		for k := uint64(0); k < 32; k++ {
-			b.Inc(k)
+			b.Add(wire.OpPhasedInc, k, 0)
 		}
 		if _, err := b.Commit(); err != nil && !isLoadErr(err) {
 			t.Fatalf("hard failure under admission load: %v", err)

@@ -18,12 +18,12 @@
 //     contention k(t) the algorithms see keeps changing — the adaptive
 //     regime the paper is about.
 //   - Scenarios. A Scenario composes an arrival process, an operation mix
-//     (rename via pool checkout, counter inc/read, k-process execution
-//     waves), a duration and op budget, and an optional exec.FaultPlan
-//     (crash storms mid-load). Catalog() holds the curated set. Per-worker
-//     rng.Derived streams make a scenario's operation choices deterministic
-//     per (seed, worker); on the simulator runtime a scenario replays
-//     bit-identically per seed.
+//     (rename via pool checkout, inc/read of the shared phased counter,
+//     k-process execution waves), a duration and op budget, and an
+//     optional exec.FaultPlan (crash storms mid-load). Catalog() holds the
+//     curated set. Per-worker rng.Derived streams make a scenario's
+//     operation choices deterministic per (seed, worker); on the simulator
+//     runtime a scenario replays bit-identically per seed.
 //   - Measurement. Hist (this file) is a fixed-size log-bucketed histogram
 //     in the HDR spirit: recording is a few shifts and one counter
 //     increment, no locks, no allocation. Each worker owns its own

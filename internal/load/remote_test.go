@@ -74,7 +74,8 @@ func (r *codeRecorder) Op(code wire.OpCode, _, _ uint64) (uint64, error) {
 // TestRunRemotePhasedWavesNotSent: the wire has no phased-wave op, and a
 // server runs OpWave on the rename pool. A remote phased-churn run must
 // therefore send no OpWave, count each of its waves as a failed remote
-// op, and fail its verdict, while its Inc/Read still go out as phased ops.
+// op, and fail its verdict, while its Inc/Read go out as phased ops and
+// nothing else goes out.
 func TestRunRemotePhasedWavesNotSent(t *testing.T) {
 	s := shortened(t, "phased-churn", 10*time.Second)
 	s.Faults = nil
@@ -94,10 +95,10 @@ func TestRunRemotePhasedWavesNotSent(t *testing.T) {
 	if r.Verdict == "ok" {
 		t.Fatal("a remote run that could not send its waves passed its verdict")
 	}
-	if rec.codes[wire.OpPhasedInc] == 0 || rec.codes[wire.OpPhasedRead] == 0 {
-		t.Fatalf("phased Inc/Read did not go out as phased ops: %v", rec.codes)
+	if uint64(rec.codes[wire.OpPhasedInc]) != r.Incs || uint64(rec.codes[wire.OpPhasedRead]) != r.Reads {
+		t.Fatalf("%d incs and %d reads went out as %v", r.Incs, r.Reads, rec.codes)
 	}
-	if n := rec.codes[wire.OpInc] + rec.codes[wire.OpRead] + rec.codes[wire.OpRename]; n != 0 {
-		t.Fatalf("%d phased-scenario ops went to the per-op pools: %v", n, rec.codes)
+	if len(rec.codes) != 2 {
+		t.Fatalf("ops other than phased Inc/Read went out: %v", rec.codes)
 	}
 }

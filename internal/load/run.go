@@ -100,7 +100,7 @@ func run(s Scenario, rem Remote) *Report {
 				case <-stopSampler:
 					return
 				case <-tick.C:
-					k := tg.Rename.InFlight() + tg.Counter.InFlight() + int(waveExtra.Load())
+					k := tg.Rename.InFlight() + tg.Phased.InFlight() + int(waveExtra.Load())
 					ks.sample(prof.classAt(time.Since(start).Seconds()), k)
 				}
 			}
@@ -232,11 +232,11 @@ func runClosedLoop(s *Scenario, w *worker, prof *profile, start time.Time, budge
 }
 
 // runOp executes one operation of the given kind: the one place an op
-// kind maps to its wire op code, routing key and argument. The per-op
-// kinds carry their key (see worker.target) both as the routing key and
-// as the shard argument, so a Zipf-hot key contends on one shard, in
-// process or on the server that owns it. The phased counter is shared and
-// has no per-target identity, so phased Inc/Read carry key 0.
+// kind maps to its wire op code, routing key and argument. A rename
+// carries its key (see worker.target) both as the routing key and as the
+// shard argument, so a Zipf-hot key contends on one shard, in process or
+// on the server that owns it. Inc and Read go to the shared phased
+// counter, which has no per-target identity, so they carry key 0.
 //
 // Only in-process waves take their own branch: they arm the scenario's
 // FaultPlan and count its crashes, and plans do not travel over the wire.
@@ -253,15 +253,9 @@ func runOp(s *Scenario, kind opKind, at float64, key uint64, g *gauges) {
 	case opRename:
 		code = wire.OpRename
 	case opInc:
-		code = wire.OpInc
-		if s.Phased {
-			code, key, arg = wire.OpPhasedInc, 0, 0
-		}
+		code, key, arg = wire.OpPhasedInc, 0, 0
 	case opRead:
-		code = wire.OpRead
-		if s.Phased {
-			code, key, arg = wire.OpPhasedRead, 0, 0
-		}
+		code, key, arg = wire.OpPhasedRead, 0, 0
 	case opWave:
 		k := s.kAt(at)
 		if g.tg == nil && s.Phased {

@@ -17,9 +17,11 @@ type Mix struct {
 	// selects and runs one solo Rename on the instance's dedicated proc
 	// (Target.Do's rename).
 	Rename int `json:"rename,omitempty"`
-	// Inc runs one increment on a pooled monotone-consistent counter.
+	// Inc runs one increment of the shared phased counter (the
+	// OpPhasedInc op).
 	Inc int `json:"inc,omitempty"`
-	// Read runs one read on a pooled monotone-consistent counter.
+	// Read runs one fast monotone-consistent read of the shared phased
+	// counter (the OpPhasedRead op).
 	Read int `json:"read,omitempty"`
 	// Wave runs one k-process execution wave: k goroutines rename
 	// concurrently against one checked-out instance through the execution
@@ -28,9 +30,11 @@ type Mix struct {
 	// counter instead, in process only (the wire has no phased-wave op).
 	Wave int `json:"wave,omitempty"`
 	// Targets is the keyed-target universe for Rename/Inc/Read when Skew
-	// is set: each such op draws a target id in [0, Targets) and routes
-	// through the pool's keyed checkout, so hot targets collide on the
-	// same shard instead of spreading uniformly. 0 defaults to 64 when
+	// is set: each such op draws a target id in [0, Targets), and a rename
+	// routes through the pool's keyed checkout, so hot targets collide on
+	// the same shard instead of spreading uniformly. Inc and Read draw a
+	// target too, which keeps the op stream of a seed fixed, but send it
+	// nowhere: the phased counter has one instance. 0 defaults to 64 when
 	// Skew > 0 (ignored otherwise).
 	Targets int `json:"targets,omitempty"`
 	// Skew is the Zipf exponent of the target draw: P(target=i) ∝
@@ -136,13 +140,10 @@ type Scenario struct {
 	// shares no counter; a run can therefore complete up to Workers−1
 	// operations more than Ops.
 	Ops uint64 `json:"ops,omitempty"`
-	// Phased routes counter traffic to the contention-adaptive phased
-	// counter (internal/phase) instead of the pooled monotone counter: Inc
-	// and Read hit the shared phased counter through its serving pool, and
-	// Wave runs k-process phased-counter executions (mode transitions
-	// mid-wave, the scenario's FaultPlan armed — crashes land inside merge
-	// windows). On the simulator the counter's mode is driven
-	// deterministically from the rate profile and churn width.
+	// Phased chooses the wave kind: Wave runs k-process phased-counter
+	// executions (mode transitions mid-wave, the scenario's FaultPlan armed
+	// — crashes land inside merge windows) instead of rename waves. Inc and
+	// Read hit the shared phased counter whatever Phased says.
 	Phased bool `json:"phased,omitempty"`
 	// Faults is armed on every Wave execution (crash storms mid-load). The
 	// plan is re-armed fresh per wave, so one plan drives the whole run;

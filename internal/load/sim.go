@@ -47,34 +47,29 @@ func RunSim(s Scenario, seed uint64) *Report {
 	}
 
 	rt := sim.New(seed, sim.NewRandom(seed))
-	newRename, newCounter := recipes()
-	sa := newRename(rt)
-	ctr := newCounter(rt)
+	sa := newRenamer()(rt)
 
-	// Phased scenarios run their counter traffic on an accumulating phased
-	// counter. A serial lock-step machine has no live contention gauges, so
-	// the mode is driven deterministically from the declared load shape —
-	// the simulator analogue of the native pool's auto controller: split
-	// when the churn width crests past its midpoint (wave scenarios) or the
-	// offered rate is in the upper half of the profile's range, joined
-	// otherwise. Deterministic in t, hence per (seed, scenario).
-	var pc *phase.Counter
-	var phasedModeAt func(t float64) phase.Mode
-	if s.Phased {
-		pc = phase.NewAAC(rt, phasedWaveLanes, phasedWaveEpoch)
-		loRate, hiRate := prof.rateBounds()
-		phasedModeAt = func(t float64) phase.Mode {
-			if s.Churn != nil {
-				if 2*s.Churn.kAt(t) >= s.Churn.MinK+s.Churn.MaxK {
-					return phase.Split
-				}
-				return phase.Joined
-			}
-			if hiRate > loRate && prof.rateAt(t) >= (loRate+hiRate)/2 {
+	// Counter traffic runs on one accumulating phased counter, as it does
+	// on a server. A serial lock-step machine has no live contention
+	// gauges, so the mode is driven deterministically from the declared
+	// load shape — the simulator analogue of the native pool's auto
+	// controller: split when the churn width crests past its midpoint
+	// (wave scenarios) or the offered rate is in the upper half of the
+	// profile's range, joined otherwise. Deterministic in t, hence per
+	// (seed, scenario).
+	pc := phase.NewAAC(rt, phasedWaveLanes, phasedWaveEpoch)
+	loRate, hiRate := prof.rateBounds()
+	phasedModeAt := func(t float64) phase.Mode {
+		if s.Churn != nil {
+			if 2*s.Churn.kAt(t) >= s.Churn.MinK+s.Churn.MaxK {
 				return phase.Split
 			}
 			return phase.Joined
 		}
+		if hiRate > loRate && prof.rateAt(t) >= (loRate+hiRate)/2 {
+			return phase.Split
+		}
+		return phase.Joined
 	}
 
 	// One execution context per wave width, with the scenario's plan armed;
@@ -125,20 +120,12 @@ func RunSim(s Scenario, seed uint64) *Report {
 			nameSum += name
 			checksum = fold(checksum, name)
 		case opInc:
-			if pc != nil {
-				pc.SetMode(phasedModeAt(t))
-				st = solo.Run(func(p shmem.Proc) { pc.Inc(p) })
-			} else {
-				st = solo.Run(func(p shmem.Proc) { ctr.Inc(p) })
-			}
+			pc.SetMode(phasedModeAt(t))
+			st = solo.Run(func(p shmem.Proc) { pc.Inc(p) })
 		case opRead:
 			var v uint64
-			if pc != nil {
-				pc.SetMode(phasedModeAt(t))
-				st = solo.Run(func(p shmem.Proc) { v = pc.Read(p) })
-			} else {
-				st = solo.Run(func(p shmem.Proc) { v = ctr.Read(p) })
-			}
+			pc.SetMode(phasedModeAt(t))
+			st = solo.Run(func(p shmem.Proc) { v = pc.Read(p) })
 			checksum = fold(checksum, v)
 		case opWave:
 			k := s.kAt(t)
@@ -146,7 +133,7 @@ func RunSim(s Scenario, seed uint64) *Report {
 			if k > maxWaveK {
 				maxWaveK = k
 			}
-			if pc != nil {
+			if s.Phased {
 				// Phased wave: k processes run the native runner's phased
 				// wave on the shared phased counter with the scenario's plan
 				// armed — crashes land inside merge windows; idempotent

@@ -13,19 +13,19 @@ import (
 	"repro/internal/wire"
 )
 
-// Target is the served system: the sharded pools behind every served
-// operation, and Do, the one definition of what each wire op code does to
-// them. The wire server runs every op of every frame through Do, and the
-// harness drives a Target in process through Op, the Remote method the
-// wire and cluster clients implement too, so an op means the same thing
-// however it reaches the pools. NewTarget builds the production
+// Target is the served system: the pools and the shared phased counter
+// behind every served operation, and Do, the one definition of what each
+// wire op code does to them. The wire server runs every op of every frame
+// through Do, and the harness drives a Target in process through Op, the
+// Remote method the wire and cluster clients implement too, so an op means
+// the same thing however it reaches the pools. NewTarget builds the production
 // configuration (hardware TAS, native runtimes).
 type Target struct {
-	Rename  *serve.Pool[*core.StrongAdaptive]
-	Counter *serve.Pool[*core.MonotoneCounter]
-	// Phased serves the shared contention-adaptive phased counter (the
-	// phased ops, which Phased scenarios send for Inc/Read; the pool's auto
-	// controller drives the split/joined mode off live contention).
+	Rename *serve.Pool[*core.StrongAdaptive]
+	// Phased serves the shared contention-adaptive phased counter, the one
+	// counter on the wire (the phased ops, which every scenario sends for
+	// Inc/Read; the pool's auto controller drives the split/joined mode
+	// off live contention).
 	Phased *phase.Pool
 	// PhasedWave pools per-instance phased counters for Phased scenarios'
 	// in-process waves: each wave checks one out and runs a k-process
@@ -46,52 +46,42 @@ const (
 	maxWaveK = 32
 )
 
-// recipes returns the default instantiation recipes: the strong adaptive
-// renamer and the monotone counter with hardware test-and-set (the
-// compiled blueprint behind the renamer is cached process-wide).
-func recipes() (newRename func(mem shmem.Mem) *core.StrongAdaptive, newCounter func(mem shmem.Mem) *core.MonotoneCounter) {
+// newRenamer returns the default renamer recipe: the strong adaptive
+// renamer with hardware test-and-set (the compiled blueprint behind it is
+// cached process-wide).
+func newRenamer() func(mem shmem.Mem) *core.StrongAdaptive {
 	saBP := core.CompileStrongAdaptive(sortnet.BaseOEM)
-	newRename = func(mem shmem.Mem) *core.StrongAdaptive {
+	return func(mem shmem.Mem) *core.StrongAdaptive {
 		return saBP.Instantiate(mem, tas.MakeUnit)
 	}
-	newCounter = func(mem shmem.Mem) *core.MonotoneCounter {
-		return core.NewMonotoneCounter(mem, tas.MakeUnit)
-	}
-	return newRename, newCounter
 }
 
-// NewTarget builds the default target: pools of strong adaptive renamers
-// and monotone counters with hardware test-and-set, the shared phased
-// counter and the phased wave instances, seeded from seed.
+// NewTarget builds the default target: a pool of strong adaptive renamers
+// with hardware test-and-set, the shared phased counter and the phased
+// wave instances, seeded from seed.
 func NewTarget(seed uint64) *Target {
-	newRename, newCounter := recipes()
 	newPhased := func(mem shmem.Mem) *phase.Counter {
 		return phase.NewAAC(mem, phasedWaveLanes, phasedWaveEpoch)
 	}
 	return &Target{
-		Rename:     serve.New(serve.Options{Seed: seed}, newRename),
-		Counter:    serve.New(serve.Options{Seed: seed + 1}, newCounter),
+		Rename:     serve.New(serve.Options{Seed: seed}, newRenamer()),
 		Phased:     phase.NewPool(phase.Options{Seed: seed + 2}),
 		PhasedWave: serve.New(serve.Options{Seed: seed + 3}, newPhased),
 	}
 }
 
 // Do executes one served operation and returns its value; ok is false for
-// an op code the protocol does not define. Rename, Inc and Read check an
-// instance out of the shard arg selects, so one key's ops contend on one
-// shard, and get a fresh instance each (Put resets). A wave runs arg
-// processes, clamped to [1, maxWaveK], fault-free on one checked-out
-// renamer, and returns the width run. The phased ops ignore arg and hit
-// the shared phased counter. Rename, Inc, Read and the phased reads
-// allocate nothing.
+// an op code the protocol does not define, the retired codes 2 and 3
+// included. Rename checks an instance out of the shard arg selects, so
+// one key's renames contend on one shard, and gets a fresh instance each
+// (Put resets). A wave runs arg processes, clamped to [1, maxWaveK],
+// fault-free on one checked-out renamer, and returns the width run. The
+// phased ops ignore arg and hit the shared phased counter. Rename and the
+// phased reads allocate nothing.
 func (tg *Target) Do(code wire.OpCode, arg uint64) (uint64, bool) {
 	switch code {
 	case wire.OpRename:
 		return tg.rename(arg), true
-	case wire.OpInc:
-		return tg.inc(arg), true
-	case wire.OpRead:
-		return tg.read(arg), true
 	case wire.OpWave:
 		k := int(min(max(arg, 1), maxWaveK))
 		tg.runWave(k, nil)
@@ -115,8 +105,6 @@ func (tg *Target) Route(code wire.OpCode, arg uint64) (shard int, mode phase.Mod
 	switch code {
 	case wire.OpRename:
 		return tg.Rename.ShardFor(arg), 0
-	case wire.OpInc, wire.OpRead:
-		return tg.Counter.ShardFor(arg), 0
 	case wire.OpPhasedInc, wire.OpPhasedRead, wire.OpPhasedReadStrict:
 		return 0, tg.Phased.Counter().Mode()
 	}
@@ -141,18 +129,6 @@ func (tg *Target) rename(key uint64) uint64 {
 	in := tg.Rename.GetKeyed(key)
 	defer in.Put()
 	return in.Obj.Rename(in.Proc(), 1)
-}
-
-func (tg *Target) inc(key uint64) uint64 {
-	in := tg.Counter.GetKeyed(key)
-	defer in.Put()
-	return in.Obj.Inc(in.Proc())
-}
-
-func (tg *Target) read(key uint64) uint64 {
-	in := tg.Counter.GetKeyed(key)
-	defer in.Put()
-	return in.Obj.Read(in.Proc())
 }
 
 // runWave checks one renamer out and runs a k-process execution wave

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/allocs"
 	"repro/internal/rng"
 	"repro/internal/shmem"
 	"repro/internal/sim"
@@ -149,18 +150,23 @@ func TestFlatLayoutMatchesPointerTree(t *testing.T) {
 }
 
 // TestAACIncAllocationFree pins what the flat layout buys the phased
-// spine: once warmed, an increment allocates nothing as testing counts it.
-// New values still grow flat trees lazily, about one allocation per three
-// increments, which the per-run average rounds down to 0.
+// spine: an increment allocates only when a new value grows a flat tree.
+// Over the counts 100,000 to 200,000 that came to 37,512 allocations and
+// 27.2 MB with registers padded for a 2-vCPU box (less unpadded). The
+// bounds sit 1.25× above.
 func TestAACIncAllocationFree(t *testing.T) {
+	const incs, maxMallocs, maxBytes = 100_000, 46_900, 34_000_000
 	rt := shmem.NewNative(1)
 	c := NewAACCounterWithMerge(rt, 8, 8)
 	p := rt.NewProc(0)
 	inc := func() { c.Inc(p) }
-	for range 100_000 {
+	for range incs {
 		inc()
 	}
-	if n := testing.AllocsPerRun(1000, inc); n != 0 {
-		t.Fatalf("a warmed AAC Inc allocates %.0f times, want 0", n)
+	n, b := allocs.Count(incs, inc)
+	t.Logf("%d warmed Incs: %d allocations, %d B", incs, n, b)
+	if n > maxMallocs || b > maxBytes {
+		t.Fatalf("%d warmed AAC Incs made %d allocations and %d B, want at most %d and %d B",
+			incs, n, b, maxMallocs, maxBytes)
 	}
 }

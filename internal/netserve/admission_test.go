@@ -121,10 +121,9 @@ func TestServeFrameAllocationFreeAdmitted(t *testing.T) {
 
 	frame := wire.AppendBatch(nil, 1, 0, []wire.Op{
 		{Code: wire.OpRename, Arg: 11},
-		{Code: wire.OpInc, Arg: 12},
-		{Code: wire.OpRead, Arg: 12},
-		{Code: wire.OpInc, Arg: 13},
+		{Code: wire.OpRename, Arg: 12},
 		{Code: wire.OpPhasedRead},
+		{Code: wire.OpPhasedReadStrict},
 	})
 	payload := frame[4:]
 	for i := 0; i < 64; i++ {
@@ -187,7 +186,7 @@ func TestShedSurfacedOverWire(t *testing.T) {
 	for shedErr == nil && time.Now().Before(deadline) {
 		b.Reset()
 		for i := 0; i < 64; i++ {
-			b.Inc(1)
+			b.Rename(1)
 		}
 		if _, err := b.Commit(); err != nil {
 			shedErr = err
@@ -210,7 +209,7 @@ func TestShedSurfacedOverWire(t *testing.T) {
 	}
 
 	// Batch-scoped: the connection still serves.
-	if _, err := c.Do(wire.OpInc, 1); err != nil {
+	if _, err := c.Do(wire.OpRename, 1); err != nil {
 		t.Fatalf("connection dead after shed: %v", err)
 	}
 

@@ -437,12 +437,6 @@ func (b *Batch) Add(code wire.OpCode, arg uint64) *Batch {
 // Rename appends a rename routed by key.
 func (b *Batch) Rename(key uint64) *Batch { return b.Add(wire.OpRename, key) }
 
-// Inc appends a pooled-counter increment routed by key.
-func (b *Batch) Inc(key uint64) *Batch { return b.Add(wire.OpInc, key) }
-
-// Read appends a pooled-counter read routed by key.
-func (b *Batch) Read(key uint64) *Batch { return b.Add(wire.OpRead, key) }
-
 // Wave appends a k-process execution wave.
 func (b *Batch) Wave(k int) *Batch { return b.Add(wire.OpWave, uint64(k)) }
 

@@ -49,7 +49,7 @@ func TestDialRetriesWithBackoff(t *testing.T) {
 		t.Fatalf("late listener failed to bind %s", addr)
 	}
 	defer srv.Close()
-	if _, err := c.Do(wire.OpInc, 1); err != nil {
+	if _, err := c.Do(wire.OpRename, 1); err != nil {
 		t.Fatalf("op after backoff dial: %v", err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // speaks only the wire protocol; cmd/renameserve serves both dumps over
 // HTTP on its wire port, and embedders serve or log them as they choose.
 
-var opLabels = [8]string{"", "rename", "inc", "read", "wave", "phased_inc", "phased_read", "phased_read_strict"}
+var opLabels = [8]string{"", "rename", "", "", "wave", "phased_inc", "phased_read", "phased_read_strict"}
 
 // OpName maps a wire op code to its metrics/trace label ("" for codes the
 // protocol does not define) — the obs.OpNamer the serving tier hands to
@@ -70,7 +70,6 @@ func (s *Server) MetricsText() string {
 	}
 
 	writePool(b, "rename", s.tg.Rename.Stats())
-	writePool(b, "counter", s.tg.Counter.Stats())
 
 	pst := s.tg.Phased.Stats()
 	mode := 0

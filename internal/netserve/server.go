@@ -6,16 +6,17 @@
 //
 // The server's request path is the same discipline as every other hot path
 // in this repo: the steady state — decode a batch, run its ops against the
-// pools, encode the reply — performs zero allocations per operation
-// (AllocsPerRun-pinned by TestServeFrameAllocationFree). Three ingredients:
+// pools, encode the reply — performs zero allocations per operation, bar
+// the phased counter's occasional spine growth (pinned by exact counts in
+// TestServeFrameAllocationFree). Three ingredients:
 //
 //   - zero-copy decode: wire.ReadFrame reads each frame into a
 //     per-connection reusable buffer and wire.Parse returns views into it;
 //     ops are consumed straight out of the read buffer, never materialized;
 //   - pooled execution: every op runs through load.Target.Do, the one
 //     definition of the served ops, which the in-process load harness
-//     runs too. Per-op kinds check instances out of the serve.Pool shards
-//     by the client-supplied key, so a tenant's hot keys land on one shard,
+//     runs too. Renames check instances out of the serve.Pool shards by
+//     the client-supplied key, so a tenant's hot keys land on one shard,
 //     and recycle them via the Put disarm path — a connection dying
 //     mid-batch cannot leak an instance (Do's checkouts Put through
 //     defers);

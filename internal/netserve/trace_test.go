@@ -28,9 +28,9 @@ func TestServeFrameTracedAllocationFree(t *testing.T) {
 	ss := srv.newSession()
 	payload := tracedFrame(1<<63|256, []wire.Op{
 		{Code: wire.OpRename, Arg: 11},
-		{Code: wire.OpInc, Arg: 12},
-		{Code: wire.OpRead, Arg: 12},
+		{Code: wire.OpRename, Arg: 12},
 		{Code: wire.OpPhasedRead},
+		{Code: wire.OpPhasedReadStrict},
 	})
 	for i := 0; i < 64; i++ {
 		ss.out = ss.serveFrame(payload, ss.out[:0])
@@ -49,8 +49,9 @@ func TestServeFrameTracedAllocationFree(t *testing.T) {
 
 // TestTracedFrameSpansAndStages serves one sampled batch and checks the
 // full server-side record: a KindFrame root, one KindOp span per op
-// parented on it with pool-matching shard attribution, and a staged reply
-// whose stage sums are consistent.
+// parented on it with the attribution Target.Route gives (the rename's
+// pool shard, the phased op's counter mode), and a staged reply whose
+// stage sums are consistent.
 func TestTracedFrameSpansAndStages(t *testing.T) {
 	srv := newTestServer(t)
 	ss := srv.newSession()
@@ -58,7 +59,7 @@ func TestTracedFrameSpansAndStages(t *testing.T) {
 	const key = uint64(77)
 	payload := tracedFrame(trace, []wire.Op{
 		{Code: wire.OpRename, Arg: key},
-		{Code: wire.OpInc, Arg: key},
+		{Code: wire.OpPhasedInc, Arg: key},
 	})
 	ss.out = ss.serveFrame(payload, ss.out[:0])
 
@@ -103,18 +104,19 @@ func TestTracedFrameSpansAndStages(t *testing.T) {
 			t.Fatalf("op span parent %d, want frame span %d", s.Parent, frame.ID)
 		}
 	}
-	// Shard attribution must match the pools' own routing.
+	// Attribution must match the pools' own routing.
 	wantRename := srv.Target().Rename.ShardFor(key)
-	wantCounter := srv.Target().Counter.ShardFor(key)
+	wantMode := uint8(srv.Target().Phased.Counter().Mode())
 	for _, s := range opSpans {
 		switch wire.OpCode(obs.AttrOp(s.Attr)) {
 		case wire.OpRename:
 			if obs.AttrShard(s.Attr) != wantRename {
 				t.Fatalf("rename span shard %d, want %d", obs.AttrShard(s.Attr), wantRename)
 			}
-		case wire.OpInc:
-			if obs.AttrShard(s.Attr) != wantCounter {
-				t.Fatalf("inc span shard %d, want %d", obs.AttrShard(s.Attr), wantCounter)
+		case wire.OpPhasedInc:
+			if obs.AttrShard(s.Attr) != 0 || obs.AttrMode(s.Attr) != wantMode {
+				t.Fatalf("phased inc span shard %d mode %d, want 0 and %d",
+					obs.AttrShard(s.Attr), obs.AttrMode(s.Attr), wantMode)
 			}
 		default:
 			t.Fatalf("unexpected op span code %d", obs.AttrOp(s.Attr))
@@ -123,7 +125,7 @@ func TestTracedFrameSpansAndStages(t *testing.T) {
 
 	// Unsampled traced batches still get the stage echo but record nothing.
 	before := col.Folded()
-	plain := wire.AppendBatchTraced(nil, 2, 0, []wire.Op{{Code: wire.OpRead, Arg: 1}}, trace+1, false)[4:]
+	plain := wire.AppendBatchTraced(nil, 2, 0, []wire.Op{{Code: wire.OpPhasedRead}}, trace+1, false)[4:]
 	ss.out = ss.serveFrame(plain, ss.out[:0])
 	if f, err := wire.Parse(ss.out[4:]); err != nil || !f.Staged {
 		t.Fatalf("unsampled traced batch lost its stage echo: %+v err=%v", f, err)
@@ -135,7 +137,7 @@ func TestTracedFrameSpansAndStages(t *testing.T) {
 
 	// Untraced batches keep the plain reply shape byte-compatible with old
 	// clients.
-	ss.out = ss.serveFrame(wire.AppendBatch(nil, 3, 0, []wire.Op{{Code: wire.OpRead, Arg: 1}})[4:], ss.out[:0])
+	ss.out = ss.serveFrame(wire.AppendBatch(nil, 3, 0, []wire.Op{{Code: wire.OpPhasedRead}})[4:], ss.out[:0])
 	if f, err := wire.Parse(ss.out[4:]); err != nil || f.Staged {
 		t.Fatalf("untraced batch got a staged reply: %+v err=%v", f, err)
 	}
@@ -238,8 +240,6 @@ func TestMetricsFormatLint(t *testing.T) {
 			ss := srv.newSession()
 			payload := tracedFrame(1<<63|4096, []wire.Op{
 				{Code: wire.OpRename, Arg: 1},
-				{Code: wire.OpInc, Arg: 2},
-				{Code: wire.OpRead, Arg: 2},
 				{Code: wire.OpPhasedInc},
 				{Code: wire.OpPhasedRead},
 			})
@@ -271,7 +271,7 @@ func TestMetricsFormatLint(t *testing.T) {
 func TestBucketsMonotoneAcrossSeries(t *testing.T) {
 	srv := newTestServer(t)
 	ss := srv.newSession()
-	payload := tracedFrame(1<<63|8192, []wire.Op{{Code: wire.OpRename, Arg: 1}, {Code: wire.OpInc, Arg: 1}})
+	payload := tracedFrame(1<<63|8192, []wire.Op{{Code: wire.OpRename, Arg: 1}, {Code: wire.OpPhasedInc}})
 	for i := 0; i < 32; i++ {
 		ss.out = ss.serveFrame(payload, ss.out[:0])
 	}

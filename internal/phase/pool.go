@@ -3,7 +3,6 @@ package phase
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"repro/internal/rng"
@@ -38,27 +37,24 @@ type Options struct {
 	Seed uint64
 	// Policy selects mode control (default Auto).
 	Policy Policy
-	// TickOps is the auto controller's evaluation period in per-lane
-	// operations (rounded up to a power of two; default 4096).
-	TickOps uint64
-	// EnterSplit is the contention score — failed lane leases per
-	// operation over the last tick — at or above which a joined counter
-	// votes to split (default 0.05).
-	EnterSplit float64
-	// ExitSplit is the score at or below which a split counter votes to
-	// rejoin (default 0.01; must sit below EnterSplit — the hysteresis
-	// band).
-	ExitSplit float64
-	// Settle is how many consecutive ticks must vote the same way before
-	// the mode actually switches (default 2) — the debounce half of the
-	// hysteresis.
-	Settle int
-	// Reconcile, when positive, runs a dedicated reconciler goroutine that
-	// merges every cell into the spine at this period (tightening
-	// ReadSpine's staleness from "one epoch per cell" to "one tick"), and
-	// drives controller evaluation on quiet pools. Close stops it.
-	Reconcile time.Duration
 }
+
+// The auto controller's tuning.
+const (
+	// tickOps is the controller's evaluation period in per-lane
+	// operations (a power of two).
+	tickOps = 4096
+	// enterSplit is the contention score — failed lane leases per
+	// operation over the last tick — at or above which a joined counter
+	// votes to split.
+	enterSplit = 0.05
+	// exitSplit is the score at or below which a split counter votes to
+	// rejoin; it sits below enterSplit — the hysteresis band.
+	exitSplit = 0.01
+	// settle is how many consecutive ticks must vote the same way before
+	// the mode actually switches — the debounce half of the hysteresis.
+	settle = 2
+)
 
 func (o Options) withDefaults() Options {
 	if o.Lanes <= 0 {
@@ -70,22 +66,6 @@ func (o Options) withDefaults() Options {
 	o.Lanes = ceilPow2(o.Lanes)
 	if o.Epoch <= 0 {
 		o.Epoch = 1024
-	}
-	if o.TickOps == 0 {
-		o.TickOps = 4096
-	}
-	o.TickOps = uint64(ceilPow2(int(o.TickOps)))
-	if o.EnterSplit <= 0 {
-		o.EnterSplit = 0.05
-	}
-	if o.ExitSplit <= 0 {
-		o.ExitSplit = 0.01
-	}
-	if o.ExitSplit >= o.EnterSplit {
-		o.ExitSplit = o.EnterSplit / 4
-	}
-	if o.Settle <= 0 {
-		o.Settle = 2
 	}
 	return o
 }
@@ -122,24 +102,20 @@ type lane struct {
 //
 // The controller folds retries into a per-op score and switches the
 // counter's mode with hysteresis (enter/exit thresholds a band apart, and
-// Settle consecutive ticks to act), so a burst must persist before the
+// settle consecutive ticks to act), so a burst must persist before the
 // pool splits and fade before it rejoins — no flapping at the boundary.
 type Pool struct {
-	rt    *shmem.Native
 	c     *Counter
 	lanes []lane
 	mask  uint64
 	opts  Options
 
 	// Controller state: guarded by the evaluating flag (one evaluator at a
-	// time; losers skip — a missed tick is re-taken TickOps ops later).
+	// time; losers skip — a missed tick is re-taken tickOps ops later).
 	evaluating  atomic.Uint32
 	lastOps     uint64
 	lastRetries uint64
 	streak      int
-
-	stop chan struct{} // reconciler shutdown; nil without a reconciler
-	done chan struct{}
 }
 
 // NewPool builds the serving pool and its counter.
@@ -148,7 +124,6 @@ func NewPool(opts Options) *Pool {
 	rt := shmem.NewNative(opts.Seed)
 	c := NewAAC(rt, opts.Lanes, opts.Epoch)
 	p := &Pool{
-		rt:    rt,
 		c:     c,
 		lanes: make([]lane, opts.Lanes),
 		mask:  uint64(opts.Lanes - 1),
@@ -162,11 +137,6 @@ func NewPool(opts Options) *Pool {
 		c.SetMode(Joined)
 	case PinSplit:
 		c.SetMode(Split)
-	}
-	if opts.Reconcile > 0 {
-		p.stop = make(chan struct{})
-		p.done = make(chan struct{})
-		go p.reconcileLoop()
 	}
 	return p
 }
@@ -233,7 +203,7 @@ func (p *Pool) ReadStrict() uint64 {
 // lease release.
 func (p *Pool) finish(ln *lane) {
 	n := ln.ops.Add(1)
-	if p.opts.Policy == Auto && n&(p.opts.TickOps-1) == 0 {
+	if p.opts.Policy == Auto && n&(tickOps-1) == 0 {
 		p.tick(ln.proc)
 	}
 	p.release(ln)
@@ -242,7 +212,7 @@ func (p *Pool) finish(ln *lane) {
 // tick runs one controller evaluation (single evaluator; losers skip).
 // The score is contention per operation since the last tick: lease
 // retries over completed ops. Hysteresis is a threshold band
-// (EnterSplit > ExitSplit) plus a Settle-tick debounce in both directions.
+// (enterSplit > exitSplit) plus a settle-tick debounce in both directions.
 func (p *Pool) tick(proc *shmem.NativeProc) {
 	if !p.evaluating.CompareAndSwap(0, 1) {
 		return
@@ -264,22 +234,22 @@ func (p *Pool) tick(proc *shmem.NativeProc) {
 
 	switch p.c.Mode() {
 	case Joined:
-		if score >= p.opts.EnterSplit {
+		if score >= enterSplit {
 			p.streak++
 		} else {
 			p.streak = 0
 		}
-		if p.streak >= p.opts.Settle {
+		if p.streak >= settle {
 			p.streak = 0
 			p.c.SetMode(Split)
 		}
 	case Split:
-		if score <= p.opts.ExitSplit {
+		if score <= exitSplit {
 			p.streak++
 		} else {
 			p.streak = 0
 		}
-		if p.streak >= p.opts.Settle {
+		if p.streak >= settle {
 			p.streak = 0
 			p.c.SetMode(Joined)
 			// Drain the cells so the spine is fresh for the joined phase
@@ -288,41 +258,6 @@ func (p *Pool) tick(proc *shmem.NativeProc) {
 			p.c.Reconcile(proc)
 		}
 	}
-}
-
-// reconcileLoop is the dedicated reconciler: every period it merges the
-// cells (bounding ReadSpine staleness by the period) and, under Auto,
-// drives a controller evaluation so a pool that went quiet still rejoins.
-func (p *Pool) reconcileLoop() {
-	defer close(p.done)
-	rp := p.rt.NewProc(len(p.lanes)) // its own proc id: never increments, only merges
-	t := time.NewTicker(p.opts.Reconcile)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-t.C:
-			if p.c.Mode() == Split {
-				p.c.Reconcile(rp)
-			}
-			if p.opts.Policy == Auto {
-				p.tick(rp)
-			}
-		}
-	}
-}
-
-// Close stops the dedicated reconciler, running one final reconciliation.
-// A pool built without Reconcile needs no Close.
-func (p *Pool) Close() {
-	if p.stop == nil {
-		return
-	}
-	close(p.stop)
-	<-p.done
-	rp := p.rt.NewProc(len(p.lanes))
-	p.c.Reconcile(rp)
 }
 
 // InFlight returns the number of lanes held right now — the live-operation

@@ -1,35 +1,31 @@
 package phase
 
 import (
+	"runtime"
 	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/allocs"
 )
 
-// TestPoolDefaults pins option normalization: powers of two, hysteresis
-// band ordering, settle floor.
+// TestPoolDefaults pins option normalization: lanes round up to a power
+// of two, and zero values take their defaults.
 func TestPoolDefaults(t *testing.T) {
-	o := Options{Lanes: 5, Epoch: 3, TickOps: 100, EnterSplit: 0.02, ExitSplit: 0.08}.withDefaults()
-	if o.Lanes != 8 {
-		t.Errorf("Lanes = %d, want 8", o.Lanes)
+	if o := (Options{Lanes: 5, Epoch: 3}).withDefaults(); o.Lanes != 8 || o.Epoch != 3 {
+		t.Errorf("Lanes, Epoch = %d, %d, want 8, 3", o.Lanes, o.Epoch)
 	}
-	if o.TickOps != 128 {
-		t.Errorf("TickOps = %d, want 128", o.TickOps)
-	}
-	if o.ExitSplit >= o.EnterSplit {
-		t.Errorf("hysteresis band inverted: exit %v >= enter %v", o.ExitSplit, o.EnterSplit)
-	}
-	if o.Settle != 2 {
-		t.Errorf("Settle = %d, want 2", o.Settle)
+	want := ceilPow2(max(8, 2*runtime.GOMAXPROCS(0)))
+	if o := (Options{}).withDefaults(); o.Lanes != want || o.Epoch != 1024 || o.Policy != Auto {
+		t.Errorf("zero Options = %+v, want %d lanes, epoch 1024, Auto", o, want)
 	}
 }
 
 // TestControllerHysteresis drives the controller deterministically by
 // synthesizing per-lane accounting and invoking tick directly: the mode
-// must switch only after Settle consecutive ticks beyond the threshold, in
-// both directions, and a sub-Settle burst must not flap it.
+// must switch only after settle consecutive ticks beyond the threshold, in
+// both directions, and a sub-settle burst must not flap it.
 func TestControllerHysteresis(t *testing.T) {
-	p := NewPool(Options{Lanes: 2, Epoch: 4, TickOps: 64, EnterSplit: 0.05, ExitSplit: 0.01, Settle: 2})
+	p := NewPool(Options{Lanes: 2, Epoch: 4})
 	ln := &p.lanes[0]
 	step := func(ops, retries uint64) Mode {
 		ln.ops.Add(ops)
@@ -41,7 +37,7 @@ func TestControllerHysteresis(t *testing.T) {
 	if m := step(100, 0); m != Joined {
 		t.Fatalf("calm tick 1: mode %v, want joined", m)
 	}
-	if m := step(100, 50); m != Joined { // first hot tick: streak 1 < Settle
+	if m := step(100, 50); m != Joined { // first hot tick: streak 1 < settle
 		t.Fatalf("hot tick 1: mode %v, want joined (debounced)", m)
 	}
 	if m := step(100, 50); m != Split { // second hot tick: switch
@@ -50,7 +46,7 @@ func TestControllerHysteresis(t *testing.T) {
 	if m := step(100, 50); m != Split { // still hot: stays
 		t.Fatalf("hot tick 3: mode %v, want split", m)
 	}
-	if m := step(100, 0); m != Split { // first calm tick: streak 1 < Settle
+	if m := step(100, 0); m != Split { // first calm tick: streak 1 < settle
 		t.Fatalf("calm tick 2: mode %v, want split (debounced)", m)
 	}
 	if m := step(100, 3); m != Split { // 0.03 is inside the band: no exit vote
@@ -71,26 +67,30 @@ func TestControllerHysteresis(t *testing.T) {
 // drains the cells: the spine must carry every split-era increment
 // afterwards (no carried staleness into the joined phase).
 func TestControllerRejoinReconciles(t *testing.T) {
-	// TickOps is huge so serving never ticks on its own; the test drives the
-	// controller by hand.
-	p := NewPool(Options{Lanes: 2, Epoch: 1024, TickOps: 1 << 20, Settle: 1})
+	// Serving ticks on its own only every tickOps ops per lane, far more
+	// than this test runs, so the test drives the controller by hand. A
+	// tick that saw no op returns early, so each calm tick follows a run
+	// of increments.
+	p := NewPool(Options{Lanes: 2, Epoch: 1024})
 	p.c.SetMode(Split)
-	for i := 0; i < 100; i++ {
-		p.Inc()
-	}
-	if lag := p.c.Lag(p.lanes[0].proc); lag == 0 {
-		t.Fatal("expected unmerged split-era counts before rejoin (epoch 1024)")
-	}
 	ln := &p.lanes[0]
-	p.tick(ln.proc) // calm tick, Settle=1: rejoins and reconciles
-	if m := p.c.Mode(); m != Joined {
-		t.Fatalf("mode after calm tick = %v, want joined", m)
+	for tick := 1; tick <= settle; tick++ {
+		for i := 0; i < 100; i++ {
+			p.Inc()
+		}
+		if lag := p.c.Lag(ln.proc); lag == 0 {
+			t.Fatalf("calm tick %d: expected unmerged split-era counts (epoch 1024)", tick)
+		}
+		p.tick(ln.proc)
 	}
-	if lag := p.c.Lag(p.lanes[0].proc); lag != 0 {
+	if m := p.c.Mode(); m != Joined {
+		t.Fatalf("mode after %d calm ticks = %v, want joined", settle, m)
+	}
+	if lag := p.c.Lag(ln.proc); lag != 0 {
 		t.Fatalf("lag after rejoin = %d, want 0 (rejoin must reconcile)", lag)
 	}
-	if v := p.ReadStrict(); v != 100 {
-		t.Fatalf("ReadStrict = %d, want 100", v)
+	if v := p.ReadStrict(); v != 100*settle {
+		t.Fatalf("ReadStrict = %d, want %d", v, 100*settle)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestPoolModesAgree(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"auto-aac", Options{Lanes: 4, Epoch: 8, TickOps: 64}},
+		{"auto-aac", Options{Lanes: 4, Epoch: 8}},
 		{"pin-joined", Options{Lanes: 4, Policy: PinJoined}},
 		{"pin-split", Options{Lanes: 4, Epoch: 8, Policy: PinSplit}},
 	} {
@@ -154,33 +154,14 @@ func TestPoolStalenessBound(t *testing.T) {
 	}
 }
 
-// TestPoolReconciler pins the dedicated reconciler: a pinned-split pool
-// with a periodic reconciler drives the spine to the fast value without
-// any strict read.
-func TestPoolReconciler(t *testing.T) {
-	p := NewPool(Options{Lanes: 2, Epoch: 1 << 20, Policy: PinSplit, Reconcile: time.Millisecond})
-	defer p.Close()
-	for i := 0; i < 500; i++ {
-		p.Inc()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if v := p.c.ReadSpine(p.lanes[0].proc); v == 500 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("spine never reconciled: %d, want 500", p.c.ReadSpine(p.lanes[0].proc))
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestPoolIncAllocFree pins the hot-path allocation contract on the AAC
-// spine a server runs: lease, joined spine increment or cell add,
-// cooperative merge, accounting. AllocsPerRun truncates its average, so
-// this pins fewer than one allocation per op: the spine's unbounded max
-// registers still grow now and then as the count rises.
+// TestPoolIncAllocFree pins the hot-path allocation rate on the AAC spine
+// a server runs: lease, joined spine increment or cell add, cooperative
+// merge, accounting. The lanes allocate nothing; the spine's unbounded
+// max registers grow now and then as the count rises, about 18,900 times
+// and 13.6 MB per 100,000 increments from a count of 1 with registers
+// padded for a 2-vCPU box (less unpadded). The bounds sit 1.25× above.
 func TestPoolIncAllocFree(t *testing.T) {
+	const incs, maxMallocs, maxBytes = 100_000, 23_600, 17_000_000
 	for _, tc := range []struct {
 		name string
 		opts Options
@@ -191,8 +172,11 @@ func TestPoolIncAllocFree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewPool(tc.opts)
 			p.Inc()
-			if n := testing.AllocsPerRun(1000, p.Inc); n != 0 {
-				t.Fatalf("Inc allocates %.1f/op, want 0", n)
+			n, b := allocs.Count(incs, p.Inc)
+			t.Logf("%d Incs: %d allocations, %d B", incs, n, b)
+			if n > maxMallocs || b > maxBytes {
+				t.Fatalf("%d Incs made %d allocations and %d B, want at most %d and %d B",
+					incs, n, b, maxMallocs, maxBytes)
 			}
 		})
 	}

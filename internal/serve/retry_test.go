@@ -6,28 +6,24 @@ import (
 )
 
 // TestPoolRetriesGauge pins the checkout-path contention counter: it starts
-// at zero, only failed freelist CASes move it, and Stats carries the same
-// total as the accessor.
+// at zero and only failed freelist CASes move it.
 func TestPoolRetriesGauge(t *testing.T) {
 	pool := newRenamerPool(Options{Shards: 1, PerShard: 2})
-	if r := pool.Retries(); r != 0 {
+	if r := pool.Stats().Retries; r != 0 {
 		t.Fatalf("fresh pool retries %d, want 0", r)
 	}
 	for i := 0; i < 20; i++ { // uncontended serial checkouts: no failed CAS
 		a := pool.Get()
 		a.Put()
 	}
-	if r := pool.Retries(); r != 0 {
+	if r := pool.Stats().Retries; r != 0 {
 		t.Fatalf("serial checkouts bumped retries to %d, want 0", r)
-	}
-	if st := pool.Stats(); st.Retries != pool.Retries() {
-		t.Fatalf("Stats.Retries %d != Retries() %d", st.Retries, pool.Retries())
 	}
 }
 
 // TestPoolRetriesUnderContention hammers a single shard from many
-// goroutines: the freelist head CAS must fail at least occasionally, and
-// the gauge must pick those failures up (run with -race).
+// goroutines: under -race the retry counters must stay race-free, and
+// every checkout must come back.
 func TestPoolRetriesUnderContention(t *testing.T) {
 	pool := newRenamerPool(Options{Shards: 1, PerShard: 64})
 	const g, iters = 8, 3000
@@ -45,11 +41,8 @@ func TestPoolRetriesUnderContention(t *testing.T) {
 	wg.Wait()
 	// Retries are adversarial-schedule-dependent; on a single-core box the
 	// scheduler may serialize enough that few CASes fail. Pin only the
-	// invariants: the gauge never moves without contention (previous test)
-	// and the total is coherent with Stats.
-	if st := pool.Stats(); st.Retries != pool.Retries() {
-		t.Fatalf("Stats.Retries %d != Retries() %d", st.Retries, pool.Retries())
-	}
+	// invariants: the gauge never moves without contention (previous test),
+	// and every checkout came back.
 	if pool.InFlight() != 0 {
 		t.Fatalf("in-flight after quiescence: %d, want 0", pool.InFlight())
 	}

@@ -405,19 +405,6 @@ func (p *Pool[T]) Stats() Stats {
 	return st
 }
 
-// Retries returns the total failed freelist CASes across shards — the
-// checkout-path contention counterpart of InFlight. Like InFlight it is a
-// monitoring sample (the phased counter's mode switcher reads gauges of
-// this shape), summed from per-shard counters that live on the already-hot
-// shard header lines, so the gauge adds nothing to the checkout path.
-func (p *Pool[T]) Retries() uint64 {
-	var n uint64
-	for i := range p.shards {
-		n += p.shards[i].retries.Load()
-	}
-	return n
-}
-
 // InFlight returns the number of instances checked out right now — the
 // pool's live operation gauge. Each shard maintains its own counter on its
 // already-hot header line, so the gauge adds no cross-shard traffic to the

@@ -1,8 +1,8 @@
 // Package wire is the batched binary wire protocol of the networked
 // serving tier: a length-prefixed frame format carrying batches of
-// operations (rename, counter inc/read, phased-counter inc/read/
-// read-strict, k-process execution waves) between a pipelining client and
-// the shard-pool server (internal/netserve).
+// operations (rename, phased-counter inc/read/read-strict, k-process
+// execution waves) between a pipelining client and the shard-pool server
+// (internal/netserve).
 //
 // The format exists to amortize the per-frame costs that dominate off-box
 // serving — two syscalls and a scheduler wakeup per round trip — over many
@@ -78,11 +78,11 @@ const (
 	// (arg = routing key) and runs one rename; the reply value is the
 	// acquired name.
 	OpRename OpCode = 1
-	// OpInc increments a pooled monotone counter (arg = routing key);
-	// the reply value is the name acquired by the increment.
-	OpInc OpCode = 2
-	// OpRead reads a pooled monotone counter (arg = routing key).
-	OpRead OpCode = 3
+	// Codes 2 and 3 are retired and not reused. They served a pooled
+	// monotone counter that was reset after every op, so every increment
+	// returned 1 and every read 0. The phased ops below serve the one
+	// shared counter; a server answers 2 and 3 with EBadOp.
+
 	// OpWave runs one k-process execution wave against a checked-out
 	// renamer (arg = k, capped by the server); the reply value is the
 	// wave width actually run.

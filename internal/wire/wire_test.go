@@ -12,8 +12,6 @@ import (
 func TestBatchRoundTrip(t *testing.T) {
 	ops := []Op{
 		{OpRename, 7},
-		{OpInc, 3},
-		{OpRead, 3},
 		{OpWave, 8},
 		{OpPhasedInc, 0},
 		{OpPhasedRead, 0},
@@ -61,7 +59,7 @@ func TestReplyRoundTrip(t *testing.T) {
 }
 
 func TestTracedBatchRoundTrip(t *testing.T) {
-	ops := []Op{{OpRename, 7}, {OpInc, 3}}
+	ops := []Op{{OpRename, 7}, {OpPhasedInc, 0}}
 	for _, sampled := range []bool{false, true} {
 		buf := AppendBatchTraced(nil, 42, 1_000_000, ops, 0xabcdef0123456789, sampled)
 		payload, err := ReadFrame(bytes.NewReader(buf), nil)
@@ -224,7 +222,7 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 }
 
 func TestParseRejectsLengthMismatch(t *testing.T) {
-	ok := AppendBatch(nil, 1, 0, []Op{{OpRename, 1}, {OpInc, 2}})
+	ok := AppendBatch(nil, 1, 0, []Op{{OpRename, 1}, {OpPhasedInc, 0}})
 	payload := ok[4:] // strip the length prefix; Parse sees the payload only
 	cases := map[string][]byte{
 		"empty":            {},
@@ -250,7 +248,7 @@ func TestParseRejectsLengthMismatch(t *testing.T) {
 }
 
 func TestAppendersAllocationFreeWithCapacity(t *testing.T) {
-	ops := []Op{{OpRename, 1}, {OpInc, 2}, {OpRead, 2}}
+	ops := []Op{{OpRename, 1}, {OpPhasedInc, 0}, {OpPhasedRead, 0}}
 	vals := []uint64{1, 2, 3}
 	buf := make([]byte, 0, 4096)
 	if n := testing.AllocsPerRun(200, func() {

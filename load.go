@@ -22,9 +22,10 @@ type (
 	// achieved-vs-offered rates, live-contention samples, and a verdict;
 	// serializable to JSON.
 	LoadReport = load.Report
-	// LoadTarget is the served system a scenario runs against: the rename,
-	// counter and phased-counter pools, and Do, the one definition of every
-	// served operation (the wire server runs each op through it too).
+	// LoadTarget is the served system a scenario runs against: the rename
+	// pool, the shared phased counter and the phased wave pool, and Do, the
+	// one definition of every served operation (the wire server runs each
+	// op through it too).
 	LoadTarget = load.Target
 )
 
@@ -37,9 +38,9 @@ func LoadCatalog() []Scenario { return load.Catalog() }
 // (case-insensitive).
 func FindScenario(name string) (Scenario, bool) { return load.Find(name) }
 
-// NewLoadTarget builds the default served system: sharded pools of strong
-// adaptive renamers and monotone-consistent counters with hardware
-// test-and-set, seeded from seed.
+// NewLoadTarget builds the default served system: a sharded pool of strong
+// adaptive renamers with hardware test-and-set, the shared phased counter
+// and the phased wave pool, seeded from seed.
 func NewLoadTarget(seed uint64) *LoadTarget { return load.NewTarget(seed) }
 
 // RunScenario executes a scenario on the native runtime against tg (nil

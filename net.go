@@ -11,9 +11,9 @@ import (
 
 // This file is the facade over internal/wire and internal/netserve, the
 // networked serving tier: a batched, length-prefixed binary protocol
-// carrying rename/counter/wave operations, a server mapping connections
-// onto the sharded serving pools, and a pipelining client that keeps many
-// batches in flight per connection. See doc.go ("Networked serving") for
+// carrying rename, phased-counter and wave operations, a server mapping
+// connections onto the serving pools, and a pipelining client that keeps
+// many batches in flight per connection. See doc.go ("Networked serving") for
 // the model and BENCHMARKS.md ("The wire protocol") for the batch-size
 // sweep; cmd/renameserve and renameload -addr are the CLI front ends.
 
@@ -46,8 +46,6 @@ type (
 // Operation kinds of the wire protocol.
 const (
 	WireRename           = wire.OpRename
-	WireInc              = wire.OpInc
-	WireRead             = wire.OpRead
 	WireWave             = wire.OpWave
 	WirePhasedInc        = wire.OpPhasedInc
 	WirePhasedRead       = wire.OpPhasedRead

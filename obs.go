@@ -34,5 +34,6 @@ type (
 // (Arm(rate) turns sampling on; rate rounds up to a power of two).
 func NewTraceCollector() *TraceCollector { return obs.New(0) }
 
-// WireOpName names a wire op code in trace output ("rename", "inc", ...).
+// WireOpName names a wire op code in trace output ("rename",
+// "phased_inc", ...).
 func WireOpName(code uint8) string { return netserve.OpName(code) }

@@ -1,10 +1,6 @@
 package renaming
 
-import (
-	"time"
-
-	"repro/internal/phase"
-)
+import "repro/internal/phase"
 
 // This file is the phased-counting facade over internal/phase: the
 // contention-adaptive counter that serves increments through shard-local
@@ -65,13 +61,6 @@ func WithPhasedSeed(seed uint64) PhasedOption {
 // WithPhasePolicy pins or automates mode control (default PhaseAuto).
 func WithPhasePolicy(p PhasePolicy) PhasedOption {
 	return func(o *phase.Options) { o.Policy = p }
-}
-
-// WithReconcileEvery runs a dedicated reconciler goroutine merging every
-// cell at the given period, bounding the spine's staleness in wall time
-// (Close stops it).
-func WithReconcileEvery(d time.Duration) PhasedOption {
-	return func(o *phase.Options) { o.Reconcile = d }
 }
 
 // NewPhasedCounterPool builds the serving pool and its shared phased
