@@ -191,7 +191,7 @@ func BenchmarkNativeRenaming(b *testing.B) {
 // execution as BenchmarkNativeRenaming but with a FaultPlan armed that
 // never fires (it names a process id that never runs), so the difference
 // to BenchmarkNativeRenaming is the per-step cost of hook dispatch plus
-// the plan checks. The disarmed cost is the nil-check already included in
+// one crash check. The disarmed cost is the nil-check already included in
 // BenchmarkNativeRenaming (see BENCHMARKS.md "The execution layer").
 func BenchmarkNativeRenamingFaultArmed(b *testing.B) {
 	for _, k := range []int{8, 64} {

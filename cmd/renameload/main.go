@@ -50,8 +50,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	renaming "repro"
@@ -114,9 +112,9 @@ func main() {
 	case *faults == "none":
 		s.Faults = nil
 	case *faults != "":
-		plan, err := parseFaults(*faults)
+		plan, err := renaming.ParseFaultPlan(*faults)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "renameload:", err)
+			fmt.Fprintln(os.Stderr, "renameload: -faults:", err)
 			os.Exit(2)
 		}
 		s.Faults = plan
@@ -219,30 +217,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "renameload: verdict: %s\n", r.Verdict)
 		os.Exit(1)
 	}
-}
-
-// parseFaults parses "p@s,p@s" into a fault plan (same syntax as
-// renametrace -crash).
-func parseFaults(spec string) (*renaming.FaultPlan, error) {
-	plan := renaming.NewFaultPlan()
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		ps, ss, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("bad -faults entry %q (want p@s)", part)
-		}
-		p, err := strconv.Atoi(ps)
-		if err != nil || p < 0 {
-			return nil, fmt.Errorf("bad process id in -faults entry %q", part)
-		}
-		step, err := strconv.ParseUint(ss, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad step count in -faults entry %q", part)
-		}
-		plan.CrashAt(p, step)
-	}
-	return plan, nil
 }

@@ -29,8 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	renaming "repro"
 	"repro/internal/shmem"
@@ -46,9 +44,9 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the full transcript as JSON")
 	flag.Parse()
 
-	plan, err := parseCrash(*crash)
+	plan, err := renaming.ParseFaultPlan(*crash)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("-crash: %w", err))
 	}
 
 	var rt renaming.Runtime
@@ -268,30 +266,4 @@ func pickAdversary(name string, seed uint64) (renaming.Adversary, error) {
 	default:
 		return nil, fmt.Errorf("unknown adversary %q", name)
 	}
-}
-
-// parseCrash turns "2@15,4@60" into a FaultPlan crashing process 2 after 15
-// completed steps and process 4 after 60 — per-process step counts, the
-// clock both runtimes share. Returns nil for the empty spec.
-func parseCrash(s string) (*renaming.FaultPlan, error) {
-	if s == "" {
-		return nil, nil
-	}
-	at := make(map[int]uint64)
-	for _, part := range strings.Split(s, ",") {
-		pt := strings.SplitN(part, "@", 2)
-		if len(pt) != 2 {
-			return nil, fmt.Errorf("bad crash spec %q (want proc@step)", part)
-		}
-		p, err := strconv.Atoi(pt[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad process in %q: %v", part, err)
-		}
-		t, err := strconv.ParseUint(pt[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad step in %q: %v", part, err)
-		}
-		at[p] = t
-	}
-	return renaming.CrashAtStep(at), nil
 }

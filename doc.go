@@ -115,14 +115,14 @@
 //	err := renaming.CheckRenamingTrace(log) // survivors unique in [1..k]
 //	sim := renaming.Replay(log)             // deterministic re-execution
 //
-// A FaultPlan (crash-at-step, stall windows, Pause/Resume) uses
-// process-local step counts — the clock both runtimes share — and arms on
-// the simulator by wrapping the adversary, and on the native runtime
-// through a step hook whose dispatch is type-based — armed executions run
-// their bodies behind a wrapping proc type, so the disarmed step path is
-// not touched at all and the native hot loop and the serving pools pay
-// nothing until a plan or recorder is armed (measured in BENCHMARKS.md
-// "The execution layer").
+// A FaultPlan schedules crashes, the model's only fault: a process stops
+// for good just before a step, at a count of its own completed steps —
+// the clock both runtimes share. It arms on the simulator by wrapping the
+// adversary, and on the native runtime through a step hook whose dispatch
+// is type-based — armed executions run their bodies behind a wrapping
+// proc type, so the disarmed step path is not touched at all and the
+// native hot loop and the serving pools pay nothing until a plan or
+// recorder is armed (measured in BENCHMARKS.md "The execution layer").
 //
 // The EventLog a recorded run produces is deterministic on the simulator
 // (same seed, adversary, and plan ⇒ same log, event for event). Recorded

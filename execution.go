@@ -1,9 +1,12 @@
 package renaming
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"repro/internal/exec"
 	"repro/internal/sim"
-	"time"
 )
 
 // This file is the facade over internal/exec, the unified execution layer:
@@ -16,9 +19,9 @@ type (
 	// Execution orchestrates repeated k-process executions on one runtime,
 	// with optional fault injection (Faults) and trace recording (Record).
 	Execution = exec.Execution
-	// FaultPlan is a runtime-agnostic failure schedule: crash-at-step,
-	// stall windows, and dynamic pausing, armed via Execution.Faults on
-	// either runtime.
+	// FaultPlan is a runtime-agnostic crash schedule: each listed process
+	// crashes at a count of its own completed steps, armed via
+	// Execution.Faults on either runtime.
 	FaultPlan = exec.FaultPlan
 	// EventLog is the trace of one recorded execution: scheduling decisions
 	// in a global total order with per-process sequence numbers, plus
@@ -51,9 +54,43 @@ func NewExecution(rt Runtime, k int) *Execution {
 	return exec.New(rt, k)
 }
 
-// NewFaultPlan returns an empty fault plan; chain CrashAt/StallAt and use
-// Pause/Resume for live chaos control.
+// NewFaultPlan returns an empty fault plan; chain CrashAt to schedule
+// crashes.
 func NewFaultPlan() *FaultPlan { return exec.NewFaultPlan() }
+
+// ParseFaultPlan reads a crash spec, "p@s,p@s": each entry crashes process
+// p after s of its own completed steps, as CrashAt does, and a later entry
+// for the same process replaces an earlier one. Spaces around entries and
+// around the "@" and empty entries are ignored; a negative or non-numeric
+// process id or a step that is not a uint64 is an error. A spec with no
+// entries returns a nil plan, which arms nothing. renameload -faults and
+// renametrace -crash read their flags with it.
+func ParseFaultPlan(spec string) (*FaultPlan, error) {
+	var plan *FaultPlan
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		ps, ss, ok := strings.Cut(part, "@")
+		if !ok {
+			return nil, fmt.Errorf("bad crash entry %q (want p@s)", part)
+		}
+		p, err := strconv.Atoi(strings.TrimSpace(ps))
+		if err != nil || p < 0 {
+			return nil, fmt.Errorf("bad process id in crash entry %q", part)
+		}
+		step, err := strconv.ParseUint(strings.TrimSpace(ss), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad step count in crash entry %q", part)
+		}
+		if plan == nil {
+			plan = exec.NewFaultPlan()
+		}
+		plan.CrashAt(p, step)
+	}
+	return plan, nil
+}
 
 // CrashAtStep is a one-call plan crashing each listed process when it is
 // about to take the step after the given number of its own completed
@@ -65,13 +102,6 @@ func CrashAtStep(at map[int]uint64) *FaultPlan {
 		plan.CrashAt(p, s)
 	}
 	return plan
-}
-
-// StallAt is a one-call plan stalling process proc at the given
-// completed-step count: forSteps global steps on the simulator, wall
-// wall-clock time on the native runtime.
-func StallAt(proc int, step, forSteps uint64, wall time.Duration) *FaultPlan {
-	return exec.NewFaultPlan().StallAt(proc, step, forSteps, wall)
 }
 
 // Replay returns a fresh simulator re-executing a recorded log: the

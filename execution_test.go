@@ -134,3 +134,50 @@ func TestPoolExecFaults(t *testing.T) {
 		seen[n] = true
 	}
 }
+
+// TestParseFaultPlan pins the one crash-spec syntax that renameload -faults
+// and renametrace -crash share, one row per case.
+func TestParseFaultPlan(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want map[int]uint64 // nil: a nil plan
+		err  bool
+	}{
+		{spec: ""},
+		{spec: ","},
+		{spec: " , ,"},
+		{spec: "2@15,4@60", want: map[int]uint64{2: 15, 4: 60}},
+		{spec: "0@0", want: map[int]uint64{0: 0}},
+		{spec: " 2@5", want: map[int]uint64{2: 5}},
+		{spec: "2@5,", want: map[int]uint64{2: 5}},
+		{spec: ",2@5,,3@7 ", want: map[int]uint64{2: 5, 3: 7}},
+		{spec: "2 @ 5", want: map[int]uint64{2: 5}},
+		{spec: "1@8,1@20", want: map[int]uint64{1: 20}},
+		{spec: "-1@5", err: true},
+		{spec: "x@5", err: true},
+		{spec: "@5", err: true},
+		{spec: "25", err: true},
+		{spec: "2@", err: true},
+		{spec: "2@-5", err: true},
+		{spec: "2@x", err: true},
+		{spec: "2@5@6", err: true},
+		{spec: "2@18446744073709551616", err: true},
+		{spec: "2@5,bad", err: true},
+	} {
+		got, err := renaming.ParseFaultPlan(tc.spec)
+		switch {
+		case tc.err:
+			if err == nil {
+				t.Errorf("%q: accepted, want an error", tc.spec)
+			}
+		case err != nil:
+			t.Errorf("%q: %v", tc.spec, err)
+		case tc.want == nil:
+			if got != nil {
+				t.Errorf("%q: got a plan with %d crashes, want nil", tc.spec, got.Crashes())
+			}
+		case !reflect.DeepEqual(got, renaming.CrashAtStep(tc.want)):
+			t.Errorf("%q: got %+v, want the plan of %v", tc.spec, got, tc.want)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocs"
 	"repro/internal/load"
 	"repro/internal/netserve"
 	"repro/internal/wire"
@@ -494,7 +495,8 @@ func fakeNode(conn net.Conn) {
 // TestClusterBatchAllocationFree pins the scatter-gather hot path: once a
 // Batch's buffers have grown, the steady-state Reset/Add×n/Commit cycle
 // over a 3-node ring performs zero allocations — the cluster tier adds
-// routing arithmetic to the wire client's pinned path, not garbage.
+// routing arithmetic to the wire client's pinned path, not garbage. It
+// counts exact totals over 20,000 cycles after 20,000 warm ones.
 func TestClusterBatchAllocationFree(t *testing.T) {
 	ring, err := New([]string{"a:1", "b:2", "c:3"}, 1<<20)
 	if err != nil {
@@ -526,12 +528,12 @@ func TestClusterBatchAllocationFree(t *testing.T) {
 			t.Fatalf("%d values, want 32", len(vals))
 		}
 	}
-	for i := 0; i < 64; i++ {
+	const cycles = 20_000
+	for range cycles {
 		cycle() // grow every buffer and pool entry first
 	}
-	allocs := testing.AllocsPerRun(200, cycle)
-	if allocs != 0 {
-		t.Fatalf("scatter-gather cycle allocates %.1f times per batch, want 0", allocs)
+	if n, b := allocs.Count(cycles, cycle); n != 0 {
+		t.Fatalf("%d scatter-gather cycles made %d allocations (%d B), want 0", cycles, n, b)
 	}
 
 	// And the gathered values still honor the offset contract.

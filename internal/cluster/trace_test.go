@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocs"
 	"repro/internal/netserve"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -137,7 +138,8 @@ func TestClusterCrossHopChain(t *testing.T) {
 
 // TestClusterTraceAllocationFree re-pins the scatter-gather 0-alloc cycle
 // with tracing armed: trace stamping, stage accumulation, and span
-// recording may not add garbage to the steady-state batch path.
+// recording may not add garbage to the steady-state batch path. It counts
+// exact totals over 20,000 cycles after 20,000 warm ones.
 func TestClusterTraceAllocationFree(t *testing.T) {
 	ring, _ := startCluster(t, 3, 1<<20, netserve.Options{})
 	c := dialCluster(t, ring)
@@ -156,16 +158,16 @@ func TestClusterTraceAllocationFree(t *testing.T) {
 			t.Fatalf("commit: %v", err)
 		}
 	}
-	for i := 0; i < 64; i++ {
+	const cycles = 20_000
+	for range cycles {
 		cycle()
 	}
-	allocs := testing.AllocsPerRun(200, cycle)
-	if allocs != 0 {
-		t.Fatalf("traced scatter-gather cycle allocates %.1f times per batch, want 0", allocs)
+	if n, b := allocs.Count(cycles, cycle); n != 0 {
+		t.Fatalf("%d traced scatter-gather cycles made %d allocations (%d B), want 0", cycles, n, b)
 	}
 	col.Fold()
 	if col.Folded() == 0 {
-		t.Fatalf("no spans folded despite Arm(1) and %d cycles", 64)
+		t.Fatalf("no spans folded despite Arm(1) and %d cycles", 2*cycles)
 	}
 }
 

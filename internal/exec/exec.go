@@ -12,7 +12,7 @@
 //   - An Execution owns the participant lifecycle of repeated k-process
 //     runs on one runtime (reusing the native RunGroup machinery, so the
 //     steady state stays allocation-free).
-//   - A FaultPlan (crash-at-step, stall windows, pausing) arms on either
+//   - A FaultPlan (crash-at-step, the model's only fault) arms on either
 //     runtime through one sim.CrashPlan: natively behind a step hook whose
 //     dispatch is type-based (zero cost while disarmed), on the simulator
 //     as the adversary, wrapping the runtime's own.
@@ -49,11 +49,11 @@ type Execution struct {
 	group *shmem.RunGroup // native: reusable proc contexts
 	s     *sim.Runtime    // non-nil when rt is the simulator
 
-	plan   *FaultPlan
-	faults faults     // the plan's per-run state, rearmed by each Run
-	hook   nativeHook // the native step hook, rearmed by each armed Run
-	log    *EventLog
-	rec    *nativeHook // &hook while the current/last native run is armed
+	plan  *FaultPlan
+	crash sim.CrashPlan // the plan's crash points, rearmed by each armed Run
+	hook  nativeHook    // the native step hook, rearmed by each armed Run
+	log   *EventLog
+	rec   *nativeHook // &hook while the current/last native run is armed
 	// simTraced remembers that we installed a trace observer on the sim
 	// runtime, so StopRecording-then-Run can remove it (the observer would
 	// otherwise survive Reset and keep appending into the stale log).
@@ -84,9 +84,9 @@ func New(rt shmem.Runtime, k int) *Execution {
 func (e *Execution) K() int { return e.k }
 
 // Faults arms plan for subsequent Runs (nil disarms — always legal, also
-// on third-party runtimes). The plan's static faults fire per run — crash
-// and stall positions are rearmed in place by each Run, so one plan drives
-// many executions without allocating.
+// on third-party runtimes). The plan's crashes fire per run — each Run
+// rearms them in place, so one plan drives many executions without
+// allocating.
 func (e *Execution) Faults(plan *FaultPlan) {
 	if plan != nil {
 		e.requireHookable("fault injection")
@@ -124,18 +124,16 @@ func (e *Execution) Run(body func(p shmem.Proc)) *shmem.Stats {
 	switch {
 	case e.n != nil:
 		e.rec = nil
-		// Any non-nil plan arms, even one with no static faults yet: Pause
-		// may arrive mid-run, and the gates are only polled while armed.
 		if e.plan == nil && e.log == nil {
 			e.group.SetHook(nil)
 		} else {
 			if e.log != nil {
 				e.log.begin(e.k, e.n.Seed(), RuntimeNative)
 			}
-			e.hook.log, e.hook.faults = e.log, nil
+			e.hook.log, e.hook.crash = e.log, nil
 			if e.plan != nil {
-				e.faults.arm(e.plan, nil, e.k)
-				e.hook.faults = &e.faults
+				e.plan.arm(&e.crash, nil, e.k)
+				e.hook.crash = &e.crash
 			}
 			e.rec = &e.hook
 			e.group.SetHook(e.rec)
@@ -143,8 +141,8 @@ func (e *Execution) Run(body func(p shmem.Proc)) *shmem.Stats {
 		return e.group.Run(body)
 	case e.s != nil:
 		if e.plan != nil {
-			e.faults.arm(e.plan, e.s.Adversary(), e.k)
-			e.s.SetAdversary(&e.faults.crash)
+			e.plan.arm(&e.crash, e.s.Adversary(), e.k)
+			e.s.SetAdversary(&e.crash)
 		}
 		if e.log != nil {
 			e.log.begin(e.k, e.s.Seed(), RuntimeSim)

@@ -29,13 +29,12 @@ type Mix struct {
 	// time-varying under Churn. Phased scenarios' waves run on a phased
 	// counter instead, in process only (the wire has no phased-wave op).
 	Wave int `json:"wave,omitempty"`
-	// Targets is the keyed-target universe for Rename/Inc/Read when Skew
-	// is set: each such op draws a target id in [0, Targets), and a rename
-	// routes through the pool's keyed checkout, so hot targets collide on
-	// the same shard instead of spreading uniformly. Inc and Read draw a
-	// target too, which keeps the op stream of a seed fixed, but send it
-	// nowhere: the phased counter has one instance. 0 defaults to 64 when
-	// Skew > 0 (ignored otherwise).
+	// Targets is the keyed-target universe for renames when Skew is set:
+	// each rename draws a target id in [0, Targets) and routes through the
+	// pool's keyed checkout, so hot targets collide on the same shard
+	// instead of spreading uniformly. Inc and Read draw nothing: the phased
+	// counter has one instance. 0 defaults to 64 when Skew > 0 (ignored
+	// otherwise).
 	Targets int `json:"targets,omitempty"`
 	// Skew is the Zipf exponent of the target draw: P(target=i) ∝
 	// 1/(i+1)^Skew. 0 (the default) disables target selection entirely —

@@ -102,9 +102,10 @@ func RunSim(s Scenario, seed uint64) *Report {
 		class := prof.classAt(t)
 		kind := s.Mix.pick(&w.gen)
 		// The simulator has one shared object graph per kind — no shards to
-		// route to — but a skewed scenario still draws its target here, from
-		// the same worker stream as the native runner, and folds it into the
-		// checksum: the Zipf stream itself is pinned replay-deterministic.
+		// route to — but a skewed scenario still draws each rename's target
+		// here, from the same worker stream as the native runner, and folds
+		// it into the checksum: the Zipf stream itself is pinned
+		// replay-deterministic.
 		if key, keyed := w.target(kind); keyed {
 			checksum = fold(checksum, 0x21f<<32|key)
 		}

@@ -49,17 +49,17 @@ func (z *zipf) draw(r *rng.SplitMix64) uint64 {
 	return uint64(lo)
 }
 
-// target returns the op's key. Under skew it is the op's Zipf target,
-// drawn from the worker's op stream, and keyed is true. Waves have no
-// single target (k processes run against one checked-out instance) and
-// get key 0. Skew-free per-op kinds get a key derived from the worker and
-// its op count, with keyed false; it spreads their ops over pool shards,
-// in process and on a server, and over ring nodes. Neither case draws
-// from the op stream, so skew-free op streams are bit-identical to the
-// pre-skew harness.
+// target returns the op's key. Only a rename has one: under skew it is the
+// rename's Zipf target, drawn from the worker's op stream, and keyed is
+// true; skew-free it is derived from the worker and its op count, with
+// keyed false, which spreads renames over pool shards, in process and on a
+// server, and over ring nodes without drawing from the op stream, so
+// skew-free op streams are bit-identical to the pre-skew harness. Waves
+// (k processes run against one checked-out instance) and the phased
+// counter's Inc and Read (one shared instance) get key 0 and draw nothing.
 func (w *worker) target(kind opKind) (key uint64, keyed bool) {
 	switch {
-	case kind == opWave:
+	case kind != opRename:
 		return 0, false
 	case w.z == nil:
 		return uint64(w.id)<<32 | w.count, false

@@ -57,8 +57,9 @@ func TestRunNativeSkewScenario(t *testing.T) {
 }
 
 // TestSkewDefaultsAndStreamIsolation checks the wiring contract: Skew > 0
-// defaults Targets, and Skew = 0 scenarios never consume target draws (a
-// skew-free sim run's checksum must be unchanged by the sampler existing).
+// defaults Targets, Skew = 0 scenarios never consume target draws (a
+// skew-free sim run's checksum must be unchanged by the sampler existing),
+// and under skew only renames draw.
 func TestSkewDefaultsAndStreamIsolation(t *testing.T) {
 	s := Scenario{Mix: Mix{Rename: 1, Skew: 0.5}}
 	if got := s.withDefaults().Mix.Targets; got != 64 {
@@ -74,5 +75,14 @@ func TestSkewDefaultsAndStreamIsolation(t *testing.T) {
 	skewed.Mix.Skew = 0.99
 	if r3 := RunSim(skewed, 3); r3.Checksum == r1.Checksum {
 		t.Fatal("skewed run's checksum equals the skew-free run's — target draws not folded in")
+	}
+	// Only renames draw a target: skew leaves a counter-only stream as it is.
+	counter := plain
+	counter.Mix = Mix{Inc: 3, Read: 1}
+	skewedCounter := counter
+	skewedCounter.Mix.Skew = 0.99
+	if a, b := RunSim(counter, 3), RunSim(skewedCounter, 3); a.Checksum != b.Checksum || a.Incs != b.Incs || a.Reads != b.Reads {
+		t.Fatalf("skew moved a counter-only run: checksum %#x/%#x, incs %d/%d, reads %d/%d",
+			a.Checksum, b.Checksum, a.Incs, b.Incs, a.Reads, b.Reads)
 	}
 }

@@ -18,12 +18,12 @@
 // every operation reads and writes the same switches, in the same order,
 // as a tree of one heap node per switch would.
 //
-// Walks: each operation tests its proc once. An unhooked native proc on a
-// runtime without timestamps (shmem.DirectProc) takes a word walk, which
-// counts every step on the proc and performs it on the register's atomic
-// word, with no call per step. Every other proc (the simulator's, a hooked
-// or timestamped native one) takes the FastReg walk. Both walks read and
-// write the same registers in the same order.
+// Walks: each operation tests its proc once. An unhooked native proc
+// (shmem.DirectProc) takes a word walk, which counts every step on the
+// proc and performs it on the register's atomic word, with no call per
+// step. Every other proc (the simulator's, or a native one behind a step
+// hook) takes the FastReg walk. Both walks read and write the same
+// registers in the same order.
 package maxreg
 
 import (
@@ -463,20 +463,20 @@ func (s words) at(i uint64) *atomic.Uint64 { return &s.w[i<<s.shift] }
 // so a word walk makes no call per step.
 
 func readWord(np *shmem.NativeProc, w *atomic.Uint64) uint64 {
-	np.CountStep(shmem.OpRead)
+	np.Step(shmem.OpRead)
 	return w.Load()
 }
 
 // writeWord stores only when the word holds another value, as every
 // native write does (see shmem's storeWord).
 func writeWord(np *shmem.NativeProc, w *atomic.Uint64, v uint64) {
-	np.CountStep(shmem.OpWrite)
+	np.Step(shmem.OpWrite)
 	if w.Load() != v {
 		w.Store(v)
 	}
 }
 
 func casWord(np *shmem.NativeProc, w *atomic.Uint64, old, new uint64) bool {
-	np.CountStep(shmem.OpCAS)
+	np.Step(shmem.OpCAS)
 	return w.CompareAndSwap(old, new)
 }

@@ -23,50 +23,57 @@ type scriptOp struct {
 // a one-process sequential simulator, runs the script on both one
 // operation at a time, and requires every operation to return the same
 // value and take the same operation counts on both, and to advance the
-// native proc's Now() by exactly its steps. Two legs run the native
-// operations on an unhooked standalone proc, unpadded and padded, so they
-// take the word walks (shmem.DirectProc), where a write of the value a
-// register holds stores nothing; the simulator's registers store every
-// write. The third leg runs them on a WithTimestamps runtime, whose steps
-// must tick the shared clock, so they take the FastReg walk: a word walk
-// there would count its steps without advancing Now(). Hooked procs take
-// the FastReg walk as well; internal/exec's TestNativeRecordReplaysOnSim
-// runs this package's AAC counter behind a recording hook.
+// native proc's Now() by exactly its steps. Each native operation runs in
+// a one-process RunGroup.Run. Two legs run unhooked, unpadded and padded,
+// so they take the word walks (shmem.DirectProc), where a write of the
+// value a register holds stores nothing; the simulator's registers store
+// every write. The third leg arms a step hook that lets every step
+// through, so its operations take the FastReg walk, as a recorded or
+// fault-injected execution does: a step that walk failed to count, or a
+// word walk on a hooked proc, would show here.
 func checkNativeMatchesSim(t *testing.T, label string, build func(mem shmem.Mem) []scriptOp) {
 	t.Helper()
 	legs := []struct {
 		name   string
-		opt    shmem.NativeOption
-		direct bool
+		pad    bool
+		hooked bool
 	}{
-		{"pad=false", shmem.WithRegisterPadding(false), true},
-		{"pad=true", shmem.WithRegisterPadding(true), true},
-		{"timestamps", shmem.WithTimestamps(), false},
+		{"pad=false", false, false},
+		{"pad=true", true, false},
+		{"hooked", false, true},
 	}
 	for _, leg := range legs {
-		nrt := shmem.NewNative(1, leg.opt)
-		np := nrt.NewProc(0)
-		if direct := shmem.DirectProc(np) != nil; direct != leg.direct {
-			t.Fatalf("%s %s: DirectProc non-nil = %v, want %v", label, leg.name, direct, leg.direct)
+		nrt := shmem.NewNative(1, shmem.WithRegisterPadding(leg.pad))
+		g := nrt.NewRunGroup(1)
+		if leg.hooked {
+			g.SetHook(passHook{})
 		}
 		native := build(nrt)
 		srt := sim.New(1, sim.NewSequential())
 		simulated := build(srt)
 		for i, op := range native {
-			np.Reset()
-			start := np.Now()
-			got := op.run(np)
+			var got, advanced uint64
+			var direct bool
+			counts := g.Run(func(p shmem.Proc) {
+				direct = shmem.DirectProc(p) != nil
+				start := p.Now()
+				got = op.run(p)
+				advanced = p.Now() - start
+			}).PerProc[0]
+			if direct == leg.hooked {
+				t.Fatalf("%s %s op %d %s: DirectProc non-nil = %v on a hooked=%v proc", label, leg.name, i, op.name, direct, leg.hooked)
+			}
 			srt.Reset(1, sim.NewSequential()) // run state only; registers keep their values
 			var want uint64
 			st := srt.Run(1, func(p shmem.Proc) { want = simulated[i].run(p) })
 			if got != want {
 				t.Fatalf("%s %s op %d %s: native returned %d, simulator %d", label, leg.name, i, op.name, got, want)
 			}
-			if np.Counts() != st.PerProc[0] {
-				t.Fatalf("%s %s op %d %s: native counts %+v, simulator %+v", label, leg.name, i, op.name, np.Counts(), st.PerProc[0])
+			if counts != st.PerProc[0] {
+				t.Fatalf("%s %s op %d %s: native counts %+v, simulator %+v", label, leg.name, i, op.name, counts, st.PerProc[0])
 			}
-			if c := np.Counts(); np.Now()-start != c.Steps() {
-				t.Fatalf("%s %s op %d %s: Now() advanced by %d over %d steps", label, leg.name, i, op.name, np.Now()-start, c.Steps())
+			if advanced != counts.Steps() {
+				t.Fatalf("%s %s op %d %s: Now() advanced by %d over %d steps", label, leg.name, i, op.name, advanced, counts.Steps())
 			}
 			if op.read && got != op.want {
 				t.Fatalf("%s %s op %d %s: read %d, want %d", label, leg.name, i, op.name, got, op.want)
@@ -74,6 +81,12 @@ func checkNativeMatchesSim(t *testing.T, label string, build func(mem shmem.Mem)
 		}
 	}
 }
+
+// passHook arms a RunGroup without crashing or recording anything.
+type passHook struct{}
+
+func (passHook) OnStep(*shmem.NativeProc, shmem.Op) bool { return true }
+func (passHook) OnExit(*shmem.NativeProc, bool)          {}
 
 // risingValues returns a rising run of values below limit, dense at the
 // bottom and about a third apart above it, ending at limit−1.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocs"
 	"repro/internal/load"
 	"repro/internal/wire"
 )
@@ -108,7 +109,8 @@ func TestAdmissionDefaults(t *testing.T) {
 // TestServeFrameAllocationFreeAdmitted re-pins the serveFrame 0 allocs/op
 // claim with admission control armed: the uncontended admit is a
 // non-blocking channel receive and send, so gating must not disturb the
-// steady-state request path.
+// steady-state request path. It counts exact totals over 100,000 frames
+// after 100,000 warm ones, as TestServeFrameAllocationFree does.
 func TestServeFrameAllocationFreeAdmitted(t *testing.T) {
 	srv, err := ListenAndServeOpts("127.0.0.1:0", nil, Options{
 		Admission: AdmissionConfig{PerShard: 64},
@@ -126,14 +128,13 @@ func TestServeFrameAllocationFreeAdmitted(t *testing.T) {
 		{Code: wire.OpPhasedReadStrict},
 	})
 	payload := frame[4:]
-	for i := 0; i < 64; i++ {
-		ss.out = ss.serveFrame(payload, ss.out[:0])
+	serve := func() { ss.out = ss.serveFrame(payload, ss.out[:0]) }
+	const frames = 100_000
+	for range frames {
+		serve()
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		ss.out = ss.serveFrame(payload, ss.out[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("admitted serveFrame allocates %.1f times per frame, want 0", allocs)
+	if n, b := allocs.Count(frames, serve); n != 0 {
+		t.Fatalf("%d admitted frames made %d allocations (%d B), want 0", frames, n, b)
 	}
 	if srv.adm.admitted.Load() == 0 || srv.adm.shed.Load() != 0 {
 		t.Fatalf("admitted=%d shed=%d after uncontended pinned runs",

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/allocs"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -20,10 +21,12 @@ func tracedFrame(trace uint64, ops []wire.Op) []byte {
 	return wire.AppendBatchTraced(nil, 1, 0, ops, trace, true)[4:]
 }
 
-// TestServeFrameTracedAllocationFree pins the tentpole's server-side
+// TestServeFrameTracedAllocationFree pins the server-side tracing
 // contract: serving a sampled traced batch — span records included —
-// allocates nothing per frame.
+// allocates nothing. It counts exact totals over 100,000 frames after
+// 100,000 warm ones (see TestServeFrameAllocationFree for the warm-up).
 func TestServeFrameTracedAllocationFree(t *testing.T) {
+	const frames = 100_000
 	srv := newTestServer(t)
 	ss := srv.newSession()
 	payload := tracedFrame(1<<63|256, []wire.Op{
@@ -32,14 +35,12 @@ func TestServeFrameTracedAllocationFree(t *testing.T) {
 		{Code: wire.OpPhasedRead},
 		{Code: wire.OpPhasedReadStrict},
 	})
-	for i := 0; i < 64; i++ {
-		ss.out = ss.serveFrame(payload, ss.out[:0])
+	serve := func() { ss.out = ss.serveFrame(payload, ss.out[:0]) }
+	for range frames {
+		serve()
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		ss.out = ss.serveFrame(payload, ss.out[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("traced serveFrame allocates %.1f times per frame, want 0", allocs)
+	if n, b := allocs.Count(frames, serve); n != 0 {
+		t.Fatalf("%d traced frames made %d allocations (%d B), want 0", frames, n, b)
 	}
 	f, err := wire.Parse(ss.out[4:])
 	if err != nil || f.Type != wire.TReply || !f.Staged {

@@ -34,9 +34,9 @@ import (
 //
 // Walks that take many steps per operation (the max registers) can drop
 // the per-step call as well: DirectProc tests the proc once per operation,
-// and for an unhooked proc without timestamps the walk then counts each
-// step with CountStep and operates on the words that Word and ArenaWords
-// expose, with no call per step.
+// and for an unhooked native proc the walk then counts each step with the
+// inlined Step and operates on the words that Word and ArenaWords expose,
+// with no call per step.
 
 // FastReg is a devirtualized register handle. The zero value is unusable
 // (like a nil Reg); build one with Fast.
@@ -106,24 +106,18 @@ var (
 )
 
 // DirectProc returns p as a *NativeProc when a step of p is only a count
-// on the proc: an unhooked native proc on a runtime without timestamps. It
-// returns nil for every other proc, whose steps must go through Step: the
-// simulator's, a hooked one (hookedProc fails the type test), and a
-// WithTimestamps one (its steps tick the shared clock). Objects from one
+// on the proc: an unhooked native proc. It returns nil for every other
+// proc, whose steps must go through its Proc interface: the simulator's,
+// and a hooked one (hookedProc fails the type test). Objects from one
 // runtime's Mem are used only by that runtime's procs (see Mem), so a
 // direct proc meets only native registers: a walk that tests its proc once
-// per operation can then step on the registers' words directly.
+// per operation can then count each step with Step and perform it on the
+// register's word directly. Every step must be counted by the time the
+// operation returns.
 func DirectProc(p Proc) *NativeProc {
-	if np, ok := p.(*NativeProc); ok && !np.ts {
-		return np
-	}
-	return nil
+	np, _ := p.(*NativeProc)
+	return np
 }
-
-// CountStep accounts one step of a direct proc (see DirectProc); the
-// caller performs the operation on the register's word. Every step must be
-// counted by the time the operation returns.
-func (p *NativeProc) CountStep(op Op) { p.counts.Ops[op]++ }
 
 // Read performs one read step.
 func (r FastReg) Read(p Proc) uint64 {

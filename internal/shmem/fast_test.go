@@ -96,16 +96,12 @@ func (nopHook) OnStep(*NativeProc, Op) bool { return true }
 func (nopHook) OnExit(*NativeProc, bool)    {}
 
 // TestDirectProcAndWords pins what the max registers' word walks rely on:
-// only an unhooked proc on a runtime without timestamps is direct, and
-// ArenaWords and Word address the same words as the registers' own
-// methods, unpadded and padded. Registers from another Mem expose no
-// words.
+// only an unhooked native proc is direct, and ArenaWords and Word address
+// the same words as the registers' own methods, unpadded and padded.
+// Registers from another Mem expose no words.
 func TestDirectProcAndWords(t *testing.T) {
 	if DirectProc(NewNative(1).NewProc(0)) == nil {
-		t.Error("an unhooked proc without timestamps is not direct")
-	}
-	if DirectProc(NewNative(1, WithTimestamps()).NewProc(0)) != nil {
-		t.Error("a WithTimestamps proc is direct")
+		t.Error("an unhooked proc is not direct")
 	}
 	g := NewNative(1).NewRunGroup(1)
 	g.SetHook(nopHook{})

@@ -12,26 +12,18 @@ import (
 // registers are sync/atomic words. It provides real parallelism for
 // wall-clock benchmarks; step counts are exact but interleavings are up to
 // the Go scheduler. Adversarial schedules still come from internal/sim,
-// but the execution layer (internal/exec) can inject crashes and stalls
-// here through a RunGroup's step hook (see hook.go), and can record a
-// native execution's operation order so it replays deterministically on
-// the simulator.
+// but the execution layer (internal/exec) can inject crashes here through
+// a RunGroup's step hook (see hook.go), and can record a native
+// execution's operation order so it replays deterministically on the
+// simulator.
 //
-// Step accounting is contention-free: every process counts its own steps in
-// a cache-line-padded slot, and no shared state is touched per step unless
-// timestamps are enabled. WithTimestamps adds a shared atomic clock bumped
-// on every step — the Now() values the linearizability and
-// monotone-consistency checkers correlate across processes — at the cost of
-// serializing all processes on that one cache line.
+// Step accounting is contention-free: every process counts its own steps
+// in a cache-line-padded slot, and no shared state is touched per step.
+// A recorded execution's global order comes from the recorder, not from a
+// shared clock.
 type Native struct {
 	seed uint64
-	ts   bool
 	pad  bool
-	// clock is the shared timestamp clock, maintained only WithTimestamps.
-	// Padded so the preceding fields don't share its cache line.
-	_     [64]byte
-	clock atomic.Uint64
-	_     [56]byte
 }
 
 var (
@@ -41,15 +33,6 @@ var (
 
 // NativeOption configures a Native runtime.
 type NativeOption func(*Native)
-
-// WithTimestamps enables the shared global clock behind Now(). Checkers
-// that compare operation intervals across processes need it; plain
-// benchmarks and production use leave it off, keeping the step hot path
-// free of cross-core contention (Now() then reports the process-local step
-// count, which is still monotone per process).
-func WithTimestamps() NativeOption {
-	return func(n *Native) { n.ts = true }
-}
 
 // WithRegisterPadding overrides the automatic register-padding choice (see
 // NewNative). Padding wins on multicore machines and only wastes cache on
@@ -109,7 +92,7 @@ func (n *Native) Run(k int, body func(p Proc)) *Stats {
 // derives from (seed, id), exactly as Run derives the stream of process id.
 // A NativeProc must only be used by one goroutine at a time.
 func (n *Native) NewProc(id int) *NativeProc {
-	return &NativeProc{id: id, rt: n, ts: n.ts, rng: rng.Derived(n.seed, uint64(id))}
+	return &NativeProc{id: id, rt: n, rng: rng.Derived(n.seed, uint64(id))}
 }
 
 // RunGroup is a reusable execution context for repeated Run calls against
@@ -170,7 +153,6 @@ func (g *RunGroup) Run(body func(p Proc)) *Stats {
 		p.id = i
 		p.rng = rng.Derived(g.n.seed, uint64(i))
 		p.rt = g.n
-		p.ts = g.n.ts
 		p.counts = OpCounts{}
 		go func() {
 			defer wg.Done()
@@ -278,7 +260,6 @@ func (a nativePaddedArena) Reset() {
 type NativeProc struct {
 	id     int
 	rt     *Native
-	ts     bool // rt.ts, copied so a step reads no other object
 	rng    rng.SplitMix64
 	counts OpCounts
 	_      [64]byte // keep adjacent procs' counters off each other's lines
@@ -293,34 +274,22 @@ func (p *NativeProc) Coin(n uint64) uint64 {
 	return p.rng.Uint64n(n)
 }
 
-// Step accounts for one shared-memory operation: one counter increment,
-// plus the shared clock tick WithTimestamps. Fault injection and trace
-// recording do not touch this path: executions with a StepHook armed run
-// their bodies behind a hookedProc wrapper (see hook.go). The compiler
-// inlines Step into the FastReg methods, so a native register step is one
-// call (see fast.go).
-func (p *NativeProc) Step(op Op) {
-	p.counts.Ops[op]++
-	if p.ts {
-		p.rt.clock.Add(1)
-	}
-}
+// Step accounts for one shared-memory operation: one counter increment.
+// Fault injection and trace recording do not touch this path: executions
+// with a StepHook armed run their bodies behind a hookedProc wrapper (see
+// hook.go). The compiler inlines Step into the FastReg methods and the
+// max-register word walks, so a native register step is at most one call
+// (see fast.go).
+func (p *NativeProc) Step(op Op) { p.counts.Ops[op]++ }
 
 // Note records a non-step accounting event.
 func (p *NativeProc) Note(ev Event) {
 	p.counts.Events[ev]++
 }
 
-// Now returns the shared timestamp clock when the runtime was built
-// WithTimestamps, and the process-local step count otherwise. The local
-// count is monotone per process but not comparable across processes — the
-// documented trade for a contention-free step path.
-func (p *NativeProc) Now() uint64 {
-	if p.ts {
-		return p.rt.clock.Load()
-	}
-	return p.counts.Steps()
-}
+// Now returns the process's own step count: monotone per process but not
+// comparable across processes, the trade for a contention-free step path.
+func (p *NativeProc) Now() uint64 { return p.counts.Steps() }
 
 // StepsTaken returns the process's own running step count (used by the
 // benchmark harness to attribute costs to individual operations).

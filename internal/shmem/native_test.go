@@ -112,38 +112,7 @@ func TestOpStrings(t *testing.T) {
 	}
 }
 
-// TestNativeNowWithTimestamps checks the WithTimestamps knob: Now reads a
-// clock shared across processes, so some process must observe a value
-// beyond its own step count, and none may observe less than it.
-func TestNativeNowWithTimestamps(t *testing.T) {
-	const k, each = 4, 100
-	rt := NewNative(3, WithTimestamps())
-	ctr := rt.NewCASReg(0)
-	finals := make([]uint64, k)
-	st := rt.Run(k, func(p Proc) {
-		for i := 0; i < each; i++ {
-			ctr.Read(p)
-		}
-		finals[p.ID()] = p.Now()
-	})
-	var maxFinal uint64
-	for i, f := range finals {
-		if f < each {
-			t.Fatalf("proc %d observed Now=%d below its own %d steps", i, f, each)
-		}
-		if f > maxFinal {
-			maxFinal = f
-		}
-	}
-	if maxFinal <= each {
-		t.Fatalf("no process observed the shared clock beyond its own steps (max %d)", maxFinal)
-	}
-	if total := st.TotalSteps(); maxFinal > total {
-		t.Fatalf("clock %d ran past total steps %d", maxFinal, total)
-	}
-}
-
-// TestNativeNowLocalByDefault checks the contention-free default: Now is the
+// TestNativeNowLocalByDefault checks the native clock: Now is the
 // process's own step count, monotone per process, and it and StepsTaken
 // both read the one count the proc keeps, Counts().Steps(). A second Run on
 // the same group and a Reset standalone proc start that count from zero.
@@ -187,7 +156,7 @@ func TestNativeNowLocalByDefault(t *testing.T) {
 		g.Run(func(p Proc) { bad[p.ID()] = !steps(p, 50) })
 		for i, b := range bad {
 			if b {
-				t.Fatalf("run %d proc %d: Now and StepsTaken without timestamps should equal Counts().Steps()", run, i)
+				t.Fatalf("run %d proc %d: Now and StepsTaken should equal Counts().Steps()", run, i)
 			}
 		}
 	}

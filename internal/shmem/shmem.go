@@ -82,9 +82,9 @@ type Proc interface {
 	// Now returns a monotone logical clock reading used to timestamp
 	// operation intervals for the linearizability and monotone-consistency
 	// checkers. In the simulator this is the global step index. Natively it
-	// is a shared atomic counter when the runtime is built WithTimestamps,
-	// and the process-local step count (monotone per process, not
-	// comparable across processes) otherwise.
+	// is the process's own step count (monotone per process, not
+	// comparable across processes); a recorded native execution takes its
+	// global order from the recorder (internal/exec).
 	Now() uint64
 }
 

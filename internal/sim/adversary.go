@@ -297,22 +297,12 @@ func (*Oscillator) NeverCrashes() {}
 // planned crashes still fire.
 type CrashPlan struct {
 	inner Adversary
-	bench Bench
 	// at[p] is the completed-step count at which process p crashes; done[p]
 	// reports that p has no crash left to fire (none planned, or it fired).
 	at   []uint64
 	done []bool
 	cur  int // process of the inner burst being expanded
 	left int // remaining steps of that burst
-}
-
-// Bench is an optional stage of a CrashPlan that holds processes back (the
-// execution layer's stall windows and pause gates). It is consulted after a
-// burst is expanded and before the crash check.
-type Bench interface {
-	// Substitute returns the process to schedule instead of the chosen
-	// process p, or p itself to let the choice stand.
-	Substitute(v *View, p int) int
 }
 
 // NewCrashPlan wraps inner with scheduled crashes: at maps a process to the
@@ -324,7 +314,7 @@ func NewCrashPlan(inner Adversary, at map[int]uint64) *CrashPlan {
 		k = max(k, p+1)
 	}
 	a := &CrashPlan{}
-	a.Rearm(inner, nil, k)
+	a.Rearm(inner, k)
 	for p, step := range at {
 		a.CrashAt(p, step)
 	}
@@ -332,10 +322,10 @@ func NewCrashPlan(inner Adversary, at map[int]uint64) *CrashPlan {
 }
 
 // Rearm resets the plan in place for a run of k processes over inner, with
-// bench (nil for none) and no crash planned. It reuses the plan's slices,
-// so once they have grown to k a rearm allocates nothing.
-func (a *CrashPlan) Rearm(inner Adversary, bench Bench, k int) {
-	a.inner, a.bench = inner, bench
+// no crash planned. It reuses the plan's slices, so once they have grown to
+// k a rearm allocates nothing.
+func (a *CrashPlan) Rearm(inner Adversary, k int) {
+	a.inner = inner
 	a.cur, a.left = 0, 0
 	if cap(a.at) < k {
 		a.at, a.done = make([]uint64, k), make([]bool, k)
@@ -367,8 +357,8 @@ func (a *CrashPlan) Due(p int, steps uint64) bool {
 	return true
 }
 
-// Choose delegates to the inner adversary, expanding bursts, lets the bench
-// substitute a held-back choice, and converts due steps into crashes.
+// Choose delegates to the inner adversary, expanding bursts, and converts
+// due steps into crashes.
 func (a *CrashPlan) Choose(v *View) Decision {
 	var d Decision
 	if a.left > 0 && v.Ready[a.cur] {
@@ -380,12 +370,6 @@ func (a *CrashPlan) Choose(v *View) Decision {
 		if d.Burst > 1 {
 			a.cur, a.left = d.Proc, d.Burst-1
 			d.Burst = 0
-		}
-	}
-	if a.bench != nil {
-		if p := a.bench.Substitute(v, d.Proc); p != d.Proc {
-			d = Decision{Proc: p}
-			a.left = 0 // the held-back process's burst grant is forfeit
 		}
 	}
 	if a.Due(d.Proc, v.Steps[d.Proc]) {

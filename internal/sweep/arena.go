@@ -167,7 +167,7 @@ func (a *arena) crashes(inner sim.Adversary, plan []CrashAt, k int) sim.Adversar
 	if len(plan) == 0 {
 		return inner
 	}
-	a.crash.Rearm(inner, nil, k)
+	a.crash.Rearm(inner, k)
 	for _, c := range plan {
 		a.crash.CrashAt(c.Proc, c.Step)
 	}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/allocs"
 )
 
 func TestBatchRoundTrip(t *testing.T) {
@@ -247,16 +249,19 @@ func TestParseRejectsLengthMismatch(t *testing.T) {
 	}
 }
 
+// pinnedCalls is how many calls the allocation pins below count, exactly.
+const pinnedCalls = 100_000
+
 func TestAppendersAllocationFreeWithCapacity(t *testing.T) {
 	ops := []Op{{OpRename, 1}, {OpPhasedInc, 0}, {OpPhasedRead, 0}}
 	vals := []uint64{1, 2, 3}
 	buf := make([]byte, 0, 4096)
-	if n := testing.AllocsPerRun(200, func() {
+	if n, b := allocs.Count(pinnedCalls, func() {
 		buf = AppendBatch(buf[:0], 1, 0, ops)
 		buf = AppendReply(buf[:0], 1, vals)
 		buf = AppendError(buf[:0], 1, EBadOp, "bad opcode")
 	}); n != 0 {
-		t.Fatalf("appenders allocate %.1f allocs/run with capacity", n)
+		t.Fatalf("%d rounds of appends with capacity made %d allocations (%d B), want 0", pinnedCalls, n, b)
 	}
 }
 
@@ -264,7 +269,7 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 	frame := AppendBatch(nil, 1, 0, []Op{{OpRename, 1}})
 	buf := make([]byte, 0, MaxFrame)
 	r := bytes.NewReader(nil)
-	if n := testing.AllocsPerRun(200, func() {
+	if n, b := allocs.Count(pinnedCalls, func() {
 		r.Reset(frame)
 		var err error
 		buf, err = ReadFrame(r, buf)
@@ -272,7 +277,7 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("ReadFrame allocates %.1f allocs/run with a sized buffer", n)
+		t.Fatalf("%d ReadFrame calls with a sized buffer made %d allocations (%d B), want 0", pinnedCalls, n, b)
 	}
 }
 

@@ -104,15 +104,6 @@ func NewNative(seed uint64, opts ...NativeOption) Runtime {
 	return shmem.NewNative(seed, opts...)
 }
 
-// WithTimestamps makes the native runtime maintain a shared atomic clock
-// behind Proc.Now, so operation intervals can be compared across processes
-// (the linearizability and monotone-consistency checkers need this). It
-// serializes every step on one cache line — leave it off for benchmarks
-// and production use, where Now reports the process-local step count.
-func WithTimestamps() NativeOption {
-	return shmem.WithTimestamps()
-}
-
 // WithRegisterPadding overrides the native runtime's automatic choice of
 // register layout. By default registers are padded to a cache line each
 // when GOMAXPROCS > 1 (false sharing only exists under real parallelism;
