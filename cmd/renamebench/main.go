@@ -25,13 +25,15 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV series for external plotting")
 	flag.Parse()
 
-	tables := bench.All(bench.Config{Seeds: *seeds, Quick: *quick})
+	cfg := bench.Config{Seeds: *seeds, Quick: *quick}
+	exps := bench.Experiments()
 	matched := false
-	for _, t := range tables {
-		if *table != "" && !strings.EqualFold(t.ID, *table) {
+	for _, e := range exps {
+		if *table != "" && !strings.EqualFold(e.ID, *table) {
 			continue
 		}
 		matched = true
+		t := e.Run(cfg)
 		switch {
 		case *csv:
 			t.CSV(os.Stdout)
@@ -43,8 +45,8 @@ func main() {
 	}
 	if !matched {
 		fmt.Fprintf(os.Stderr, "renamebench: no experiment with ID %q; available:", *table)
-		for _, t := range tables {
-			fmt.Fprintf(os.Stderr, " %s", t.ID)
+		for _, e := range exps {
+			fmt.Fprintf(os.Stderr, " %s", e.ID)
 		}
 		fmt.Fprintln(os.Stderr)
 		os.Exit(2)

@@ -18,7 +18,8 @@
 // # Runtimes
 //
 // Algorithms are written against a small shared-memory abstraction
-// (Proc/Reg/Mem) with two interchangeable runtimes:
+// (Proc/Reg/Mem) with two interchangeable runtimes, which are its only
+// implementations:
 //
 //   - NewSim: a deterministic simulator of asynchronous shared memory under
 //     a strong adaptive adversary — exact step counts, pluggable schedules,

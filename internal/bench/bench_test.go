@@ -103,18 +103,22 @@ func TestAgg(t *testing.T) {
 }
 
 // TestAllExperimentsRun is the harness smoke test: every experiment must
-// produce a table with its declared columns and at least one row, and the
-// correctness columns must all read true.
+// produce a table with the ID it is listed under, its declared columns and
+// at least one row, and the correctness columns must all read true.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
 	}
-	tables := All(quickCfg)
-	if len(tables) != 13 {
-		t.Fatalf("got %d tables", len(tables))
+	exps := Experiments()
+	if len(exps) != 13 {
+		t.Fatalf("got %d experiments", len(exps))
 	}
 	seen := map[string]bool{}
-	for _, tb := range tables {
+	for _, e := range exps {
+		tb := e.Run(quickCfg)
+		if tb.ID != e.ID {
+			t.Errorf("experiment listed as %s made table %s", e.ID, tb.ID)
+		}
 		if seen[tb.ID] {
 			t.Errorf("duplicate experiment id %s", tb.ID)
 		}

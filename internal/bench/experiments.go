@@ -50,22 +50,30 @@ func (s *sweep) run(seed uint64, k int) *shmem.Stats {
 	return s.rt.Run(k, s.body)
 }
 
-// All runs every experiment and returns the tables in index order.
-func All(cfg Config) []*Table {
-	return []*Table{
-		E1BitBatching(cfg),
-		E4BatchLayout(cfg),
-		E5RenamingNetwork(cfg),
-		E7AdaptiveDepth(cfg),
-		E8StrongAdaptive(cfg),
-		E9LowerBound(cfg),
-		E10Counter(cfg),
-		E12LTAS(cfg),
-		E13FetchInc(cfg),
-		E14Baselines(cfg),
-		E15Ablations(cfg),
-		E16Wakeup(cfg),
-		E17CountingNetworks(cfg),
+// Experiment is one table of the harness: its ID (the Table's ID) and the
+// function that computes it.
+type Experiment struct {
+	ID  string
+	Run func(Config) *Table
+}
+
+// Experiments lists every experiment in index order. Nothing runs until an
+// entry's Run is called, so a caller can pick tables by ID first.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"E1", E1BitBatching},
+		{"E4", E4BatchLayout},
+		{"E5", E5RenamingNetwork},
+		{"E7", E7AdaptiveDepth},
+		{"E8", E8StrongAdaptive},
+		{"E9", E9LowerBound},
+		{"E10", E10Counter},
+		{"E12", E12LTAS},
+		{"E13", E13FetchInc},
+		{"E14", E14Baselines},
+		{"E15", E15Ablations},
+		{"E16", E16Wakeup},
+		{"E17", E17CountingNetworks},
 	}
 }
 

@@ -47,7 +47,7 @@ func E17CountingNetworks(cfg Config) *Table {
 					}
 				}, func() {
 					n.Reset()
-					shmem.Restore(done, 0)
+					done.Restore(0)
 				}
 		})
 		// Renaming mode: one token per wire → tight ranks.

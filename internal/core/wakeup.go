@@ -35,11 +35,11 @@ func NewWakeup(mem shmem.Mem, k int, ren Renamer) *Wakeup {
 	return &Wakeup{k: k, ren: ren, announce: mem.NewReg(0)}
 }
 
-// Reset restores the instance (and its renamer, when resettable) to the
-// unentered state. Between executions only.
+// Reset restores the instance and its renamer (every renamer is
+// shmem.Resettable) to the unentered state. Between executions only.
 func (w *Wakeup) Reset() {
-	shmem.Restore(w.announce, 0)
-	shmem.TryReset(w.ren)
+	w.announce.Restore(0)
+	w.ren.(shmem.Resettable).Reset()
 }
 
 // Wake runs the protocol and returns 1 for at least one of the k

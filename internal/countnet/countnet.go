@@ -160,7 +160,7 @@ func (bp *Blueprint) merger(x, y []int) []int {
 func (bp *Blueprint) Instantiate(mem shmem.Mem) *Network {
 	return &Network{
 		bp:    bp,
-		state: shmem.NewRegs(mem, len(bp.gates)+bp.width),
+		state: mem.NewRegs(len(bp.gates) + bp.width),
 	}
 }
 

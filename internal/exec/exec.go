@@ -1,8 +1,7 @@
-// Package exec is the unified execution layer: runtime-agnostic
-// orchestration of k-process executions over both runtimes (the native
-// runtime in internal/shmem and the deterministic simulator in
-// internal/sim), with fault injection and deterministic trace
-// record/replay.
+// Package exec is the unified execution layer: one orchestration of
+// k-process executions over the two runtimes (the native runtime in
+// internal/shmem and the deterministic simulator in internal/sim), with
+// fault injection and deterministic trace record/replay.
 //
 // Before this layer, every fault-injection and scheduling capability lived
 // only in the simulator: the native runtime — the one that carries the
@@ -42,12 +41,11 @@ import (
 // with optional fault injection and trace recording. It is not safe for
 // concurrent use; a serving pool gives each instance its own Execution.
 type Execution struct {
-	rt shmem.Runtime
-	k  int
+	k int
 
-	n     *shmem.Native   // non-nil when rt is the native runtime
+	n     *shmem.Native   // the native runtime; nil on the simulator
 	group *shmem.RunGroup // native: reusable proc contexts
-	s     *sim.Runtime    // non-nil when rt is the simulator
+	s     *sim.Runtime    // the simulator; nil on the native runtime
 
 	plan  *FaultPlan
 	crash sim.CrashPlan // the plan's crash points, rearmed by each armed Run
@@ -60,15 +58,14 @@ type Execution struct {
 	simTraced bool
 }
 
-// New returns an execution context for k-process runs on rt. Both bundled
-// runtimes get the full feature set; a third-party Runtime still runs, but
-// arming faults or recording on it panics (there is no hook path into its
-// step loop).
+// New returns an execution context for k-process runs on rt, which must be
+// the native runtime (*shmem.Native) or the simulator (*sim.Runtime); it
+// panics, naming the type, on any other.
 func New(rt shmem.Runtime, k int) *Execution {
 	if k <= 0 {
 		panic("exec: execution needs at least one process")
 	}
-	e := &Execution{rt: rt, k: k}
+	e := &Execution{k: k}
 	switch t := rt.(type) {
 	case *shmem.Native:
 		e.n = t
@@ -76,6 +73,8 @@ func New(rt shmem.Runtime, k int) *Execution {
 		e.hook.held = make([]bool, k)
 	case *sim.Runtime:
 		e.s = t
+	default:
+		panic(fmt.Sprintf("exec: runtime %T is neither *shmem.Native nor *sim.Runtime", rt))
 	}
 	return e
 }
@@ -83,16 +82,10 @@ func New(rt shmem.Runtime, k int) *Execution {
 // K returns the execution's process count.
 func (e *Execution) K() int { return e.k }
 
-// Faults arms plan for subsequent Runs (nil disarms — always legal, also
-// on third-party runtimes). The plan's crashes fire per run — each Run
-// rearms them in place, so one plan drives many executions without
-// allocating.
-func (e *Execution) Faults(plan *FaultPlan) {
-	if plan != nil {
-		e.requireHookable("fault injection")
-	}
-	e.plan = plan
-}
+// Faults arms plan for subsequent Runs (nil disarms). The plan's crashes
+// fire per run — each Run rearms them in place, so one plan drives many
+// executions without allocating.
+func (e *Execution) Faults(plan *FaultPlan) { e.plan = plan }
 
 // Record arms trace recording and returns the log, which is rewritten by
 // each subsequent Run (read it between runs). On the native runtime,
@@ -100,7 +93,6 @@ func (e *Execution) Faults(plan *FaultPlan) {
 // order — the armed cost documented in BENCHMARKS.md; disarmed executions
 // are unaffected.
 func (e *Execution) Record() *EventLog {
-	e.requireHookable("trace recording")
 	if e.log == nil {
 		e.log = &EventLog{}
 	}
@@ -110,19 +102,12 @@ func (e *Execution) Record() *EventLog {
 // StopRecording disarms the recorder; the log keeps its last contents.
 func (e *Execution) StopRecording() { e.log = nil }
 
-func (e *Execution) requireHookable(what string) {
-	if e.n == nil && e.s == nil {
-		panic(fmt.Sprintf("exec: %s needs the native or simulated runtime, not %T", what, e.rt))
-	}
-}
-
 // Run executes body once per process and returns the execution's
 // accounting. Stats.Crashed reports plan-injected crashes on both runtimes.
 // On the simulator each Run consumes the runtime, exactly as sim.Run does:
 // Reset it (fresh seed, fresh adversary) between runs.
 func (e *Execution) Run(body func(p shmem.Proc)) *shmem.Stats {
-	switch {
-	case e.n != nil:
+	if e.n != nil {
 		e.rec = nil
 		if e.plan == nil && e.log == nil {
 			e.group.SetHook(nil)
@@ -139,25 +124,22 @@ func (e *Execution) Run(body func(p shmem.Proc)) *shmem.Stats {
 			e.group.SetHook(e.rec)
 		}
 		return e.group.Run(body)
-	case e.s != nil:
-		if e.plan != nil {
-			e.plan.arm(&e.crash, e.s.Adversary(), e.k)
-			e.s.SetAdversary(&e.crash)
-		}
-		if e.log != nil {
-			e.log.begin(e.k, e.s.Seed(), RuntimeSim)
-			e.s.SetTrace(e.log.simObserver())
-			e.simTraced = true
-		} else if e.simTraced {
-			// We installed the previous observer; remove it so a stopped
-			// recording does not keep appending into the stale log.
-			e.s.SetTrace(nil)
-			e.simTraced = false
-		}
-		return e.s.Run(e.k, body)
-	default:
-		return e.rt.Run(e.k, body)
 	}
+	if e.plan != nil {
+		e.plan.arm(&e.crash, e.s.Adversary(), e.k)
+		e.s.SetAdversary(&e.crash)
+	}
+	if e.log != nil {
+		e.log.begin(e.k, e.s.Seed(), RuntimeSim)
+		e.s.SetTrace(e.log.simObserver())
+		e.simTraced = true
+	} else if e.simTraced {
+		// We installed the previous observer; remove it so a stopped
+		// recording does not keep appending into the stale log.
+		e.s.SetTrace(nil)
+		e.simTraced = false
+	}
+	return e.s.Run(e.k, body)
 }
 
 // mark routes an annotation into the armed log with the right

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/allocs"
@@ -381,25 +382,17 @@ func TestRepeatedRunsReuseGroup(t *testing.T) {
 	_ = first
 }
 
-// TestUnsupportedRuntime: a third-party runtime still runs plain
-// executions — and disarming (Faults(nil), StopRecording — the recycle
-// path of serving pools) stays legal on it — but arming faults or
-// recording panics with a clear message.
-func TestUnsupportedRuntime(t *testing.T) {
-	rt := fakeRuntime{shmem.NewNative(1)}
-	ex := New(rt, 2)
-	st := ex.Run(func(p shmem.Proc) {})
-	if len(st.PerProc) != 2 {
-		t.Fatalf("plain run on third-party runtime: got %d procs", len(st.PerProc))
-	}
-	ex.Faults(nil) // must not panic: pools disarm unconditionally on Put
-	ex.StopRecording()
+// TestNewRejectsOtherRuntimes: the native runtime and the simulator are
+// the only runtimes; New panics on any other, naming its type.
+func TestNewRejectsOtherRuntimes(t *testing.T) {
+	type wrapped struct{ *shmem.Native }
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Faults on a third-party runtime did not panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "exec.wrapped") {
+			t.Fatalf("New on a wrapped native runtime panicked with %q, want the type named", msg)
 		}
 	}()
-	ex.Faults(NewFaultPlan())
+	New(wrapped{shmem.NewNative(1)}, 2)
 }
 
 // TestStopRecordingRemovesSimObserver: after StopRecording, a later Run on
@@ -424,9 +417,6 @@ func TestStopRecordingRemovesSimObserver(t *testing.T) {
 		t.Fatalf("stopped recording still appended: log grew %d -> %d events", recorded, got)
 	}
 }
-
-// fakeRuntime hides the native runtime behind a third-party type.
-type fakeRuntime struct{ *shmem.Native }
 
 // TestFaultPlanCrashes pins the crash-entry accessor the workload harness
 // reports against.

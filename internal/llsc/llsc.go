@@ -50,7 +50,7 @@ func pack(version, val uint64) uint64 {
 // Reset restores the register to init with a zero version stamp (between
 // executions only) — the state a freshly allocated register has.
 func (r *Reg) Reset(init uint64) {
-	shmem.Restore(r.w, pack(0, init))
+	r.w.Restore(pack(0, init))
 }
 
 // LL load-links the register: it returns the current value and a token for
@@ -110,8 +110,8 @@ func NewCompiledReg(mem shmem.Mem, init uint64) *CompiledReg {
 	return &CompiledReg{r: New(mem, init)}
 }
 
-// Restore resets the compiled register between executions; it implements
-// shmem.Restorer so compiled registers compose with object Reset methods.
+// Restore resets the compiled register between executions (Reg.Restore),
+// so compiled registers compose with object Reset methods.
 func (c *CompiledReg) Restore(v uint64) {
 	c.r.Reset(v)
 }

@@ -122,7 +122,7 @@ func (bp *AACBlueprint) Instantiate(mem shmem.Mem) *AACCounter {
 		size:      bp.size,
 		procCap:   bp.procCap,
 		mergeBase: bp.mergeBase,
-		leaves:    shmem.NewRegs(mem, bp.size),
+		leaves:    mem.NewRegs(bp.size),
 		nodes:     make([]*Unbounded, bp.size),
 	}
 	for i := 1; i < bp.size; i++ {

@@ -94,7 +94,7 @@ func NewBounded(mem shmem.Mem, m uint64) *Bounded {
 	case m > flatWidth:
 		b.high = shmem.Fast(mem.NewReg(0))
 	case m > 1:
-		b.sw = shmem.NewRegs(mem, int(m-1))
+		b.sw = mem.NewRegs(int(m - 1))
 	}
 	return b
 }
@@ -460,11 +460,12 @@ func (s words) at(i uint64) *atomic.Uint64 { return &s.w[i<<s.shift] }
 
 // readWord, writeWord and casWord are the steps of the word walks: each
 // counts its step on the proc and then operates on the word. Each inlines,
-// so a word walk makes no call per step.
+// so a word walk makes no call per step. shmem.LogWord is empty outside
+// the wordlog build tag.
 
 func readWord(np *shmem.NativeProc, w *atomic.Uint64) uint64 {
 	np.Step(shmem.OpRead)
-	return w.Load()
+	return shmem.LogWord(np, w, shmem.OpRead, w.Load())
 }
 
 // writeWord stores only when the word holds another value, as every
@@ -474,9 +475,11 @@ func writeWord(np *shmem.NativeProc, w *atomic.Uint64, v uint64) {
 	if w.Load() != v {
 		w.Store(v)
 	}
+	shmem.LogWord(np, w, shmem.OpWrite, v)
 }
 
 func casWord(np *shmem.NativeProc, w *atomic.Uint64, old, new uint64) bool {
 	np.Step(shmem.OpCAS)
+	shmem.LogWord(np, w, shmem.OpCAS, new)
 	return w.CompareAndSwap(old, new)
 }

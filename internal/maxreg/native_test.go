@@ -19,8 +19,15 @@ type scriptOp struct {
 	want uint64
 }
 
-// checkNativeMatchesSim builds one object on the native runtime and one on
-// a one-process sequential simulator, runs the script on both one
+// stepScript builds one object on a runtime and returns it with a
+// sequential script of operations on it.
+type stepScript struct {
+	label string
+	build func(mem shmem.Mem) (shmem.Resettable, []scriptOp)
+}
+
+// checkNativeMatchesSim builds the script's object on the native runtime
+// and on a one-process sequential simulator, runs the script on both one
 // operation at a time, and requires every operation to return the same
 // value and take the same operation counts on both, and to advance the
 // native proc's Now() by exactly its steps. Each native operation runs in
@@ -31,8 +38,9 @@ type scriptOp struct {
 // through, so its operations take the FastReg walk, as a recorded or
 // fault-injected execution does: a step that walk failed to count, or a
 // word walk on a hooked proc, would show here.
-func checkNativeMatchesSim(t *testing.T, label string, build func(mem shmem.Mem) []scriptOp) {
+func checkNativeMatchesSim(t *testing.T, sc stepScript) {
 	t.Helper()
+	label := sc.label
 	legs := []struct {
 		name   string
 		pad    bool
@@ -48,9 +56,9 @@ func checkNativeMatchesSim(t *testing.T, label string, build func(mem shmem.Mem)
 		if leg.hooked {
 			g.SetHook(passHook{})
 		}
-		native := build(nrt)
+		_, native := sc.build(nrt)
 		srt := sim.New(1, sim.NewSequential())
-		simulated := build(srt)
+		_, simulated := sc.build(srt)
 		for i, op := range native {
 			var got, advanced uint64
 			var direct bool
@@ -117,21 +125,24 @@ func maxScript(r MaxReg, vals []uint64) []scriptOp {
 	return ops
 }
 
-// TestNativeStepsMatchSim pins the native register path to the simulator
-// step for step: bounded registers that are flat (1, 64), one switch over
-// flat halves (65) and many levels of lazily allocated switches (2^20);
-// the unbounded register across many spine levels; and a merge-layout AAC
-// counter under increments, reads and merges that rewrite held totals.
-func TestNativeStepsMatchSim(t *testing.T) {
+// stepScripts are the scripts of TestNativeStepsMatchSim: bounded
+// registers that are flat (1, 64), one switch over flat halves (65) and
+// many levels of lazily allocated switches (2^20); the unbounded register
+// across many spine levels; and a merge-layout AAC counter under
+// increments, reads and merges that rewrite held totals.
+func stepScripts() []stepScript {
+	var scripts []stepScript
 	for _, m := range []uint64{1, 64, 65, 1 << 20} {
-		checkNativeMatchesSim(t, fmt.Sprintf("Bounded(%d)", m), func(mem shmem.Mem) []scriptOp {
-			return maxScript(NewBounded(mem, m), risingValues(m))
-		})
+		scripts = append(scripts, stepScript{fmt.Sprintf("Bounded(%d)", m), func(mem shmem.Mem) (shmem.Resettable, []scriptOp) {
+			r := NewBounded(mem, m)
+			return r, maxScript(r, risingValues(m))
+		}})
 	}
-	checkNativeMatchesSim(t, "Unbounded", func(mem shmem.Mem) []scriptOp {
-		return maxScript(NewUnbounded(mem), append(risingValues(1<<20), 1<<40))
-	})
-	checkNativeMatchesSim(t, "AACCounter", func(mem shmem.Mem) []scriptOp {
+	scripts = append(scripts, stepScript{"Unbounded", func(mem shmem.Mem) (shmem.Resettable, []scriptOp) {
+		r := NewUnbounded(mem)
+		return r, maxScript(r, append(risingValues(1<<20), 1<<40))
+	}})
+	return append(scripts, stepScript{"AACCounter", func(mem shmem.Mem) (shmem.Resettable, []scriptOp) {
 		const slots = 4
 		c := NewAACCounterWithMerge(mem, 1, slots)
 		var incs uint64
@@ -169,8 +180,16 @@ func TestNativeStepsMatchSim(t *testing.T) {
 			merge(src, total/2) // smaller: no CAS, but the path is refreshed
 			ops = append(ops, scriptOp{name: "Read", read: true, want: sum(), run: c.Read})
 		}
-		return ops
-	})
+		return c, ops
+	}})
+}
+
+// TestNativeStepsMatchSim pins the native register path to the simulator
+// step for step on every script of stepScripts.
+func TestNativeStepsMatchSim(t *testing.T) {
+	for _, sc := range stepScripts() {
+		checkNativeMatchesSim(t, sc)
+	}
 }
 
 // TestNativeWordWalksConcurrent runs the word walks from several unhooked

@@ -1,0 +1,68 @@
+//go:build wordlog
+
+package maxreg
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/shmem"
+)
+
+// wordStep is one native register step as shmem.WordHook sees it.
+type wordStep struct {
+	Proc int
+	Word *atomic.Uint64
+	Op   shmem.Op
+	Val  uint64
+}
+
+// TestWordWalkOrder pins the word walks' step order to the FastReg walk's,
+// deterministically. Under the wordlog build tag every native register
+// step reaches shmem.WordHook, which logs it here. Each script of
+// stepScripts runs on one native instance, unpadded and padded: first
+// through the word walk, on an unhooked proc, and then, after a Reset,
+// through the FastReg walk, on a proc behind a step hook that lets every
+// step through. Each operation must log one entry per step it counts, and
+// the same entries in the same order on both walks. A word walk that set a
+// switch before writing the subtree it guards would log that write early
+// and fail here on every run.
+//
+// Run it with: go test -tags wordlog ./internal/maxreg/
+func TestWordWalkOrder(t *testing.T) {
+	var log []wordStep
+	shmem.WordHook = func(p shmem.Proc, w *atomic.Uint64, op shmem.Op, v uint64) {
+		log = append(log, wordStep{p.ID(), w, op, v})
+	}
+	defer func() { shmem.WordHook = nil }()
+	for _, sc := range stepScripts() {
+		for _, pad := range []bool{false, true} {
+			rt := shmem.NewNative(1, shmem.WithRegisterPadding(pad))
+			obj, ops := sc.build(rt)
+			direct := rt.NewProc(0)
+			words := make([][]wordStep, len(ops))
+			for i, op := range ops {
+				before := direct.StepsTaken()
+				log = nil
+				op.run(direct)
+				words[i] = log
+				if steps := direct.StepsTaken() - before; uint64(len(log)) != steps {
+					t.Fatalf("%s pad=%v op %d %s: word walk logged %d steps, counted %d", sc.label, pad, i, op.name, len(log), steps)
+				}
+			}
+			obj.Reset()
+			g := rt.NewRunGroup(1)
+			g.SetHook(passHook{})
+			for i, op := range ops {
+				log = nil
+				g.Run(func(p shmem.Proc) { op.run(p) })
+				for j := range max(len(log), len(words[i])) {
+					if j >= len(log) || j >= len(words[i]) || log[j] != words[i][j] {
+						t.Fatalf("%s pad=%v op %d %s: step %d differs: word walk logged %d steps, FastReg walk %d\nword walk: %v\nFastReg walk: %v",
+							sc.label, pad, i, op.name, j, len(words[i]), len(log), words[i], log)
+					}
+				}
+			}
+		}
+	}
+}

@@ -13,10 +13,9 @@
 //     fetch-and-add, lock-free, allocation-free) and the spine is updated
 //     only on epoch boundaries: when a cell's cumulative count crosses a
 //     multiple of the epoch, the crossing incrementer merges that cell into
-//     the spine (cooperative reconciliation; a serving pool can also run a
-//     dedicated reconciler). The spine walk is amortized over the epoch —
-//     at high contention this replaces the contended O(log n · log v) walk
-//     per Inc with one uncontended add.
+//     the spine (cooperative reconciliation). The spine walk is amortized
+//     over the epoch — at high contention this replaces the contended
+//     O(log n · log v) walk per Inc with one uncontended add.
 //
 // Reads never lose monotone consistency to the split (the correctness
 // contract exec.CheckCounterTrace verifies): cells are *cumulative* — they

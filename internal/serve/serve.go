@@ -99,7 +99,6 @@ type Instance[T shmem.Resettable] struct {
 	rt   shmem.Runtime
 	proc *shmem.NativeProc // dedicated serving proc, native only
 	ex   *exec.Execution   // reusable Execute context (per k)
-	pool *Pool[T]
 	home *shard[T]
 
 	idx    uint32        // position in the home shard's instance table
@@ -294,9 +293,8 @@ func (p *Pool[T]) newInstance() *Instance[T] {
 	id := p.instSeq.Add(1) - 1
 	rt := p.newRuntime(id)
 	in := &Instance[T]{
-		Obj:  p.instantiate(rt),
-		rt:   rt,
-		pool: p,
+		Obj: p.instantiate(rt),
+		rt:  rt,
 	}
 	if n, ok := rt.(*shmem.Native); ok {
 		// One standalone proc per instance for per-operation serving.

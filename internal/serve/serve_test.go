@@ -345,32 +345,3 @@ func TestShardFreelistTagged(t *testing.T) {
 		t.Errorf("freelist duplicated instances: %d created but %d held at once", st.Instances, maxHeld.Load())
 	}
 }
-
-// thirdPartyRuntime hides the native runtime behind a type the execution
-// layer does not recognize.
-type thirdPartyRuntime struct{ *shmem.Native }
-
-// TestPoolThirdPartyRuntimePut pins the recycle path for pools over
-// third-party runtimes: Execute falls back to plain runs, and Put (which
-// disarms the execution context unconditionally) must not panic just
-// because the runtime is not hookable.
-func TestPoolThirdPartyRuntimePut(t *testing.T) {
-	bp := core.CompileStrongAdaptive(0)
-	pool := NewWithRuntime(Options{Shards: 1, PerShard: 1},
-		func(id uint64) shmem.Runtime { return thirdPartyRuntime{shmem.NewNative(id)} },
-		func(mem shmem.Mem) *core.StrongAdaptive {
-			return bp.InstantiateWithTempNamer(mem, splitter.NewTree(mem), tas.MakeUnit)
-		})
-	in := pool.Get()
-	names := make([]uint64, 4)
-	in.Execute(4, func(p shmem.Proc, sa *core.StrongAdaptive) {
-		names[p.ID()] = sa.Rename(p, uint64(p.ID())+1)
-	})
-	if err := core.CheckUniqueTight(names); err != nil {
-		t.Fatalf("third-party-runtime execution not tight: %v", err)
-	}
-	in.Put()
-	// And the recycled instance serves again.
-	in = pool.Get()
-	in.Put()
-}

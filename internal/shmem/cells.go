@@ -68,10 +68,6 @@ func (c *Cells) Sum(p Proc) uint64 {
 	return s
 }
 
-// Peek returns cell i's value outside the step-counted model (controller
-// and stats sampling, never algorithm steps).
-func (c *Cells) Peek(i int) uint64 { return c.cells[i].v.Load() }
-
 // Reset rewinds every cell to zero. Between executions only.
 func (c *Cells) Reset() {
 	for i := range c.cells {

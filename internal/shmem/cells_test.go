@@ -24,8 +24,8 @@ func TestCellsBasics(t *testing.T) {
 	if got := c.Sum(p); got != 8 {
 		t.Fatalf("Sum = %d, want 8", got)
 	}
-	if got := c.Peek(3); got != 1 {
-		t.Fatalf("Peek(3) = %d, want 1", got)
+	if got := c.Load(p, 3); got != 1 {
+		t.Fatalf("Load(3) = %d, want 1", got)
 	}
 	c.Reset()
 	if got := c.Sum(p); got != 0 {

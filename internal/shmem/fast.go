@@ -14,19 +14,19 @@ import (
 // perform nothing *but* register steps.
 //
 // FastReg removes both dispatches for the monomorphic case: a handle that,
-// when the register belongs to the native runtime (individually allocated or
-// RegArena-backed — both layouts expose the same atomic word), holds a
-// direct pointer to the word. Each native step is then one call: the
-// FastReg method itself is too large to inline (its interface fallback
-// alone exceeds the budget), but the compiler inlines (*NativeProc).Step
-// into it, so the step costs the call, a type test, a counter increment
-// and the memory operation, with at most one locked instruction. A proc
-// behind a step hook (see hook.go) fails the type test and accounts
-// through its interface. Writes go through storeWord, which skips the
-// locked store when the word already holds the value. Registers from any
-// other Mem (the simulator, third-party runtimes) take the original
-// interface path, bit-identical to before — the reuse-equivalence tests
-// pin this down.
+// when the register belongs to the native runtime (a nativeReg, padded or
+// not, individually allocated or RegArena-backed), holds a direct pointer
+// to its word. Each native step is then one call: the FastReg method
+// itself is too large to inline (its interface path alone exceeds the
+// budget), but the compiler inlines (*NativeProc).Step into it, so the
+// step costs the call, a type test, a counter increment and the memory
+// operation, with at most one locked instruction. A proc behind a step
+// hook (see hook.go) fails the type test and accounts through its
+// interface. Writes go through storeWord, which skips the locked store
+// when the word already holds the value. The simulator's registers take
+// the interface path, bit-identical to calling them directly — the
+// reuse-equivalence tests pin this down. LogWord, in every native step,
+// compiles to nothing outside the wordlog build tag.
 //
 // tas, splitter, maxreg and core store FastReg in place of Reg/CASReg on
 // their hot-path fields; construction wraps once via Fast at instantiation
@@ -44,19 +44,16 @@ type FastReg struct {
 	// w is the register's atomic word when it belongs to the native
 	// runtime; nil otherwise.
 	w *atomic.Uint64
-	// slow is the interface fallback for non-native registers.
+	// slow is the interface path for the simulator's registers.
 	slow Reg
 }
 
 // Fast wraps a register in a devirtualized handle. Native registers (both
 // the padded and unpadded layout, including arena-backed ones) take the
-// monomorphic fast path; any other implementation keeps its interface
-// dispatch and exact semantics.
+// monomorphic fast path; the simulator's keep their interface dispatch and
+// exact semantics.
 func Fast(r Reg) FastReg {
-	switch t := r.(type) {
-	case *nativeReg:
-		return FastReg{w: &t.v}
-	case *nativeRegPadded:
+	if t, ok := r.(*nativeReg); ok {
 		return FastReg{w: &t.v}
 	}
 	return FastReg{slow: r}
@@ -81,7 +78,7 @@ func (r FastReg) Word() *atomic.Uint64 { return r.w }
 // register i's word is words[i<<shift]. An unpadded arena is its words
 // (shift 0); a padded arena's registers are eight words apart (shift 3),
 // and the words between them are padding that no step touches. It returns
-// nil for an empty arena or one from another Mem.
+// nil for an empty arena or one from the simulator.
 func ArenaWords(a RegArena) (words []atomic.Uint64, shift uint) {
 	switch t := a.(type) {
 	case nativeArena:
@@ -101,8 +98,8 @@ func ArenaWords(a RegArena) (words []atomic.Uint64, shift uint) {
 const paddedShift = 3
 
 var (
-	_ [unsafe.Sizeof(nativeRegPadded{}) - 8<<paddedShift]struct{}
-	_ [8<<paddedShift - unsafe.Sizeof(nativeRegPadded{})]struct{}
+	_ [unsafe.Sizeof(paddedReg{}) - 8<<paddedShift]struct{}
+	_ [8<<paddedShift - unsafe.Sizeof(paddedReg{})]struct{}
 )
 
 // DirectProc returns p as a *NativeProc when a step of p is only a count
@@ -129,7 +126,7 @@ func (r FastReg) Read(p Proc) uint64 {
 	} else {
 		p.Step(OpRead)
 	}
-	return r.w.Load()
+	return LogWord(p, r.w, OpRead, r.w.Load())
 }
 
 // Write performs one write step.
@@ -144,6 +141,7 @@ func (r FastReg) Write(p Proc, v uint64) {
 		p.Step(OpWrite)
 	}
 	storeWord(r.w, v)
+	LogWord(p, r.w, OpWrite, v)
 }
 
 // CompareAndSwap performs one unit-cost CAS step. The underlying register
@@ -157,6 +155,7 @@ func (r FastReg) CompareAndSwap(p Proc, old, new uint64) bool {
 	} else {
 		p.Step(OpCAS)
 	}
+	LogWord(p, r.w, OpCAS, new)
 	return r.w.CompareAndSwap(old, new)
 }
 
@@ -166,7 +165,7 @@ func (r FastReg) Restore(v uint64) {
 		r.w.Store(v)
 		return
 	}
-	r.slow.(Restorer).Restore(v)
+	r.slow.Restore(v)
 }
 
 // stepFast accounts one step, devirtualized for native procs. It does not

@@ -6,50 +6,6 @@ import (
 	"testing"
 )
 
-// lockedMem is a synchronized third-party Mem (not the native runtime, not
-// the simulator, no ArenaMem): registers guard their word with a mutex.
-// It exercises the FastReg interface-fallback path under real concurrency.
-type lockedMem struct{}
-
-type lockedReg struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-func (r *lockedReg) Read(p Proc) uint64 {
-	p.Step(OpRead)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.v
-}
-
-func (r *lockedReg) Write(p Proc, v uint64) {
-	p.Step(OpWrite)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.v = v
-}
-
-func (r *lockedReg) CompareAndSwap(p Proc, old, new uint64) bool {
-	p.Step(OpCAS)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.v == old {
-		r.v = new
-		return true
-	}
-	return false
-}
-
-func (r *lockedReg) Restore(v uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.v = v
-}
-
-func (lockedMem) NewReg(init uint64) Reg       { return &lockedReg{v: init} }
-func (lockedMem) NewCASReg(init uint64) CASReg { return &lockedReg{v: init} }
-
 // TestFastRegNativePath pins the devirtualized path: a native register
 // wrapped in Fast must expose the atomic word directly and keep exact step
 // accounting through the direct NativeProc call. A write of the value the
@@ -98,7 +54,6 @@ func (nopHook) OnExit(*NativeProc, bool)    {}
 // TestDirectProcAndWords pins what the max registers' word walks rely on:
 // only an unhooked native proc is direct, and ArenaWords and Word address
 // the same words as the registers' own methods, unpadded and padded.
-// Registers from another Mem expose no words.
 func TestDirectProcAndWords(t *testing.T) {
 	if DirectProc(NewNative(1).NewProc(0)) == nil {
 		t.Error("an unhooked proc is not direct")
@@ -135,84 +90,9 @@ func TestDirectProcAndWords(t *testing.T) {
 			t.Errorf("pad=%v: Word of a register holding 7 reads %d", pad, got)
 		}
 	}
-	if w, _ := ArenaWords(NewRegs(lockedMem{}, 2)); w != nil {
-		t.Error("a third-party arena exposes words")
-	}
 	if w, _ := ArenaWords(NewNative(1).NewRegs(0)); w != nil {
 		t.Error("an empty arena exposes words")
 	}
-	if Fast(lockedMem{}.NewReg(0)).Word() != nil {
-		t.Error("a third-party register exposes a word")
-	}
-}
-
-// TestFastRegFallback covers the interface-fallback path: registers from a
-// third-party Mem keep their exact semantics (including step accounting
-// through the Proc they are handed) behind the FastReg handle.
-func TestFastRegFallback(t *testing.T) {
-	var mem lockedMem
-	f := Fast(mem.NewCASReg(5))
-	rt := NewNative(1)
-	rt.Run(1, func(p Proc) {
-		if got := f.Read(p); got != 5 {
-			t.Errorf("Read = %d, want 5", got)
-		}
-		f.Write(p, 7)
-		if f.CompareAndSwap(p, 6, 8) {
-			t.Error("CAS with wrong old value succeeded")
-		}
-		if !f.CompareAndSwap(p, 7, 8) {
-			t.Error("CAS with right old value failed")
-		}
-		if got, want := p.(*NativeProc).StepsTaken(), uint64(4); got != want {
-			t.Errorf("%d steps accounted through the fallback, want %d", got, want)
-		}
-	})
-	f.Restore(1)
-	rt.Run(1, func(p Proc) {
-		if got := f.Read(p); got != 1 {
-			t.Errorf("Read after Restore = %d, want 1", got)
-		}
-	})
-}
-
-// TestFastRegFallbackConcurrent hammers one fallback register from many
-// native procs (CAS increment loop): the handle must neither lose updates
-// nor bypass the third-party implementation's own synchronization. The
-// arena comes from the NewRegs fallback (register-at-a-time), covering
-// FastAt over a fallbackArena too.
-func TestFastRegFallbackConcurrent(t *testing.T) {
-	const (
-		procs = 8
-		incs  = 200
-	)
-	var mem lockedMem
-	a := NewRegs(mem, 2)
-	ctr := FastAt(a, 0)
-	done := FastAt(a, 1)
-	rt := NewNative(2)
-	rt.Run(procs, func(p Proc) {
-		for i := 0; i < incs; i++ {
-			for {
-				old := ctr.Read(p)
-				if ctr.CompareAndSwap(p, old, old+1) {
-					break
-				}
-			}
-		}
-		done.Write(p, 1)
-	})
-	rt.Run(1, func(p Proc) {
-		if got := ctr.Read(p); got != procs*incs {
-			t.Fatalf("lost updates through the fallback handle: %d, want %d", got, procs*incs)
-		}
-	})
-	a.Reset()
-	rt.Run(1, func(p Proc) {
-		if got := ctr.Read(p); got != 0 {
-			t.Fatalf("fallback arena Reset left %d", got)
-		}
-	})
 }
 
 // TestLazyTableConcurrentGrowth drives the table through many

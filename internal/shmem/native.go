@@ -26,10 +26,7 @@ type Native struct {
 	pad  bool
 }
 
-var (
-	_ Runtime  = (*Native)(nil)
-	_ ArenaMem = (*Native)(nil)
-)
+var _ Runtime = (*Native)(nil)
 
 // NativeOption configures a Native runtime.
 type NativeOption func(*Native)
@@ -70,12 +67,12 @@ func (n *Native) NewCASReg(init uint64) CASReg {
 }
 
 func (n *Native) newReg(init uint64) CASReg {
+	var r *nativeReg
 	if n.pad {
-		r := &nativeRegPadded{}
-		r.v.Store(init)
-		return r
+		r = &new(paddedReg).nativeReg
+	} else {
+		r = new(nativeReg)
 	}
-	r := &nativeReg{}
 	r.v.Store(init)
 	return r
 }
@@ -121,9 +118,6 @@ func (n *Native) NewRunGroup(k int) *RunGroup {
 	}
 }
 
-// K returns the group's process count.
-func (g *RunGroup) K() int { return len(g.procs) }
-
 // SetHook arms (or, with nil, disarms) the group's step hook for
 // subsequent Runs, scoping fault injection or recording to this group's
 // executions; arming must not race an execution in flight. Standalone
@@ -167,60 +161,48 @@ func (g *RunGroup) Run(body func(p Proc)) *Stats {
 	return &g.stats
 }
 
+// nativeReg is the native runtime's one register type: an atomic word.
+// Padded registers embed it (paddedReg).
 type nativeReg struct {
 	v atomic.Uint64
 }
 
 func (r *nativeReg) Read(p Proc) uint64 {
 	p.Step(OpRead)
-	return r.v.Load()
+	return LogWord(p, &r.v, OpRead, r.v.Load())
 }
 
 func (r *nativeReg) Write(p Proc, v uint64) {
 	p.Step(OpWrite)
 	storeWord(&r.v, v)
+	LogWord(p, &r.v, OpWrite, v)
 }
 
 func (r *nativeReg) CompareAndSwap(p Proc, old, new uint64) bool {
 	p.Step(OpCAS)
+	LogWord(p, &r.v, OpCAS, new)
 	return r.v.CompareAndSwap(old, new)
 }
 
 // Restore resets the register between executions (no step accounting).
 func (r *nativeReg) Restore(v uint64) { r.v.Store(v) }
 
-// nativeRegPadded pads the register word to a full cache line: renaming
-// networks allocate registers in droves, and adjacent hot registers (the
-// two sides of a test-and-set) would otherwise false-share under real
-// parallelism.
-type nativeRegPadded struct {
-	v atomic.Uint64
+// paddedReg pads a register word to a full cache line: renaming networks
+// allocate registers in droves, and adjacent hot registers (the two sides
+// of a test-and-set) would otherwise false-share under real parallelism.
+// Padded registers are still nativeRegs: a padded arena's element, or an
+// individually allocated padded register, hands out its embedded
+// nativeReg.
+type paddedReg struct {
+	nativeReg
 	_ [56]byte
 }
-
-func (r *nativeRegPadded) Read(p Proc) uint64 {
-	p.Step(OpRead)
-	return r.v.Load()
-}
-
-func (r *nativeRegPadded) Write(p Proc, v uint64) {
-	p.Step(OpWrite)
-	storeWord(&r.v, v)
-}
-
-func (r *nativeRegPadded) CompareAndSwap(p Proc, old, new uint64) bool {
-	p.Step(OpCAS)
-	return r.v.CompareAndSwap(old, new)
-}
-
-// Restore resets the register between executions (no step accounting).
-func (r *nativeRegPadded) Restore(v uint64) { r.v.Store(v) }
 
 // NewRegs bulk-allocates n zero-initialized registers in one contiguous
 // arena (one allocation instead of n), with the runtime's register layout.
 func (n *Native) NewRegs(count int) RegArena {
 	if n.pad {
-		return nativePaddedArena(make([]nativeRegPadded, count))
+		return nativePaddedArena(make([]paddedReg, count))
 	}
 	return nativeArena(make([]nativeReg, count))
 }
@@ -240,11 +222,11 @@ func (a nativeArena) Reset() {
 	}
 }
 
-type nativePaddedArena []nativeRegPadded
+type nativePaddedArena []paddedReg
 
 func (a nativePaddedArena) Len() int            { return len(a) }
-func (a nativePaddedArena) Reg(i int) Reg       { return &a[i] }
-func (a nativePaddedArena) CASReg(i int) CASReg { return &a[i] }
+func (a nativePaddedArena) Reg(i int) Reg       { return &a[i].nativeReg }
+func (a nativePaddedArena) CASReg(i int) CASReg { return &a[i].nativeReg }
 
 // Reset stores only the registers that read nonzero (see nativeArena).
 func (a nativePaddedArena) Reset() {

@@ -10,7 +10,7 @@
 // paper's "atomic test-and-set operations are available on most modern
 // machines" accounting.
 //
-// Two runtimes implement this abstraction:
+// Two runtimes implement this abstraction, and only these two:
 //
 //   - the native runtime in this package: real goroutines, sync/atomic
 //     registers, wall-clock benchmarks;
@@ -93,6 +93,9 @@ type Proc interface {
 type Reg interface {
 	Read(p Proc) uint64
 	Write(p Proc, v uint64)
+	// Restore sets the register to v outside any execution: no Proc, no
+	// step accounting. Object Reset methods are built on it.
+	Restore(v uint64)
 }
 
 // CASReg is a register that additionally supports a unit-cost
@@ -103,11 +106,15 @@ type CASReg interface {
 	CompareAndSwap(p Proc, old, new uint64) bool
 }
 
-// Mem allocates shared objects bound to one runtime. Objects allocated from
-// one runtime's Mem must only be used by that runtime's Procs.
+// Mem allocates shared objects bound to one runtime. The native runtime
+// (Native) and the simulator (internal/sim) are its only implementations.
+// Objects allocated from one runtime's Mem must only be used by that
+// runtime's Procs.
 type Mem interface {
 	NewReg(init uint64) Reg
 	NewCASReg(init uint64) CASReg
+	// NewRegs allocates n zero-initialized registers in one arena.
+	NewRegs(n int) RegArena
 }
 
 // Runtime runs a group of processes against shared objects allocated from

@@ -10,6 +10,7 @@ type RoundRobin struct {
 	// Burst is the number of consecutive steps granted per turn.
 	Burst  int
 	cursor int
+	start  int // the cursor Rewind returns to
 }
 
 // NewRoundRobin returns a fair cyclic adversary (one step per turn).
@@ -26,12 +27,24 @@ func NewRoundRobinBurst(burst int) *RoundRobin {
 	return &RoundRobin{Burst: burst}
 }
 
+// NewOscillator returns a bursty adversary: it runs one process for burst
+// consecutive steps, then rotates to the next ready process. Burstiness
+// exposes protocols that implicitly assume interleaved progress. It is the
+// burst round robin started at process 1 instead of 0. The scheduler is
+// entered once per burst; a process loses its turn early only by
+// finishing, which ends a granted burst early too.
+func NewOscillator(burst int) *RoundRobin {
+	a := NewRoundRobinBurst(burst)
+	a.cursor, a.start = 1, 1
+	return a
+}
+
 // Rewind rearms the schedule in place for another run, identical to a fresh
-// NewRoundRobin/NewRoundRobinBurst with the same Burst. Schedules carry
+// adversary from the same constructor with the same Burst. Schedules carry
 // state, so a reused runtime (sim.WithReuse) needs either a fresh adversary
 // or an in-place rewind per run; the rewind is what keeps sweep arenas
 // allocation-free.
-func (a *RoundRobin) Rewind() { a.cursor = 0 }
+func (a *RoundRobin) Rewind() { a.cursor = a.start }
 
 // Choose picks the next ready process at or after the cursor.
 func (a *RoundRobin) Choose(v *View) Decision {
@@ -238,48 +251,6 @@ func (a *Replay) Choose(v *View) Decision {
 
 // NeverCrashes marks the schedule for the single-ready fast path.
 func (*Replay) NeverCrashes() {}
-
-// Oscillator alternates bursts: it runs one process for Burst consecutive
-// steps, then switches to the next ready process. Burstiness exposes
-// protocols that implicitly assume interleaved progress.
-//
-// It is implemented on burst grants: Choose rotates to the next ready
-// process and grants the whole burst at once, so the scheduler is entered
-// once per burst instead of once per step. The schedule is identical to the
-// step-at-a-time implementation: a process loses its turn early only by
-// finishing, which ends a granted burst early too.
-type Oscillator struct {
-	Burst   int
-	current int
-}
-
-// NewOscillator returns a bursty adversary with the given burst length.
-func NewOscillator(burst int) *Oscillator {
-	if burst < 1 {
-		burst = 1
-	}
-	return &Oscillator{Burst: burst}
-}
-
-// Rewind rearms the schedule in place, identical to a fresh
-// NewOscillator with the same Burst.
-func (a *Oscillator) Rewind() { a.current = 0 }
-
-// Choose rotates to the next ready process and grants it a full burst.
-func (a *Oscillator) Choose(v *View) Decision {
-	k := len(v.Ready)
-	for i := 1; i <= k; i++ {
-		p := (a.current + i) % k
-		if v.Ready[p] {
-			a.current = p
-			return Decision{Proc: p, Burst: a.Burst}
-		}
-	}
-	panic("sim: Oscillator called with no ready process")
-}
-
-// NeverCrashes marks the schedule for the single-ready fast path.
-func (*Oscillator) NeverCrashes() {}
 
 // CrashPlan wraps an adversary and crashes selected processes: a planned
 // process crashes the first time it is chosen having completed at least its

@@ -11,7 +11,7 @@ import (
 // coin flips, so schedules and step counts are sensitive to any drift.
 func contendedBody(mem shmem.Mem) func(p shmem.Proc) {
 	head := mem.NewCASReg(0)
-	slots := shmem.NewRegs(mem, 8)
+	slots := mem.NewRegs(8)
 	return func(p shmem.Proc) {
 		for i := 0; i < 6; i++ {
 			s := slots.Reg(int(p.Coin(8)))
@@ -76,7 +76,7 @@ func TestResetRetainsStepCapAndRegisters(t *testing.T) {
 		t.Fatal("expected step cap hit before reset")
 	}
 	rt.Reset(2, NewRoundRobin())
-	shmem.Restore(r, 0)
+	r.Restore(0)
 	st = rt.Run(1, func(p shmem.Proc) {
 		r.Write(p, 7)
 	})

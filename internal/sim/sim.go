@@ -204,7 +204,6 @@ type Runtime struct {
 }
 
 var _ shmem.Runtime = (*Runtime)(nil)
-var _ shmem.ArenaMem = (*Runtime)(nil)
 
 // Option configures a Runtime.
 type Option func(*Runtime)

@@ -45,7 +45,7 @@ func (c *Collect) Reset() {
 	c.tree.Reset()
 	c.mu <- struct{}{}
 	for _, r := range c.vals {
-		shmem.Restore(r, 0)
+		r.Restore(0)
 	}
 	<-c.mu
 	c.frontier.(*maxreg.Unbounded).Reset()

@@ -116,7 +116,7 @@ func (t *Tree) newSplitter() *Splitter {
 	defer t.mu.Unlock()
 	if t.off == treeChunk || t.chunk == nil {
 		t.shells = make([]Splitter, treeChunk)
-		t.chunk = shmem.NewRegs(t.mem, 2*treeChunk)
+		t.chunk = t.mem.NewRegs(2 * treeChunk)
 		t.arenas = append(t.arenas, t.chunk)
 		t.off = 0
 	}

@@ -15,7 +15,7 @@ import (
 type advSet struct {
 	random *sim.Random
 	rr     *sim.RoundRobin
-	osc    *sim.Oscillator
+	osc    *sim.RoundRobin
 	anti   *sim.AntiCoin
 	lag    *sim.Laggard
 	seq    sim.Sequential

@@ -171,7 +171,7 @@ func (pl *Pool) Make(shmem.Mem) Sided {
 	defer pl.mu.Unlock()
 	if pl.off == poolChunk || pl.chunk == nil {
 		pl.shells = make([]TwoProc, poolChunk)
-		pl.chunk = shmem.NewRegs(pl.mem, 3*poolChunk)
+		pl.chunk = pl.mem.NewRegs(3 * poolChunk)
 		pl.arenas = append(pl.arenas, pl.chunk)
 		pl.off = 0
 	}

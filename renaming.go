@@ -16,7 +16,8 @@ type (
 	Proc = shmem.Proc
 	// Reg is a multi-writer multi-reader atomic register.
 	Reg = shmem.Reg
-	// Mem allocates shared objects bound to one runtime.
+	// Mem allocates shared objects bound to one runtime: the simulator's
+	// (NewSim) or the native runtime's (NewNative), its only two.
 	Mem = shmem.Mem
 	// Runtime executes process bodies against shared objects.
 	Runtime = shmem.Runtime
