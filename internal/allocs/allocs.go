@@ -22,3 +22,14 @@ func Count(n int, f func()) (mallocs, bytes uint64) {
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
+
+// LiveHeap returns the bytes of heap objects in use after two garbage
+// collections (runtime.MemStats.HeapAlloc): what the program still
+// references, for tests that bound the memory an object keeps live.
+func LiveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}

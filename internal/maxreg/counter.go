@@ -153,8 +153,8 @@ func (c *AACCounter) MergeSlots() int {
 	return c.size - c.mergeBase
 }
 
-// Reset restores the counter to zero, keeping the allocated node trees.
-// Between executions only.
+// Reset restores the counter to zero, keeping the node trees' published
+// subtrees (see Bounded.Reset). Between executions only.
 func (c *AACCounter) Reset() {
 	c.leaves.Reset()
 	for i := 1; i < c.size; i++ {

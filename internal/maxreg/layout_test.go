@@ -170,3 +170,128 @@ func TestAACIncAllocationFree(t *testing.T) {
 			incs, n, b, maxMallocs, maxBytes)
 	}
 }
+
+// TestAACLiveHeap pins what dropping dead subtrees buys the served
+// counter: after 2^20 merge-layout increments on a direct native proc,
+// unpadded and padded, the counter keeps under 1 MB live, and so it does
+// after 2^17 increments through the FastReg walk (a proc behind a
+// pass-through step hook). A counter that kept every subtree it built held
+// about 45 B per increment unpadded and 272 B padded. Under the race
+// detector each leg runs a sixteenth of its increments.
+func TestAACLiveHeap(t *testing.T) {
+	const maxLive = 1 << 20
+	shift := 0
+	if allocs.Race {
+		shift = 4
+	}
+	for _, leg := range []struct {
+		name        string
+		pad, hooked bool
+		incs        int
+	}{
+		{"pad=false", false, false, 1 << 20},
+		{"pad=true", true, false, 1 << 20},
+		{"hooked", false, true, 1 << 17},
+	} {
+		leg.incs >>= shift
+		t.Run(leg.name, func(t *testing.T) {
+			base := allocs.LiveHeap()
+			rt := shmem.NewNative(1, shmem.WithRegisterPadding(leg.pad))
+			c := NewAACCounterWithMerge(rt, 8, 8)
+			g := rt.NewRunGroup(1)
+			if leg.hooked {
+				g.SetHook(passHook{})
+			}
+			var direct bool
+			g.Run(func(p shmem.Proc) {
+				direct = shmem.DirectProc(p) != nil
+				for range leg.incs {
+					c.Inc(p)
+				}
+			})
+			live := int64(allocs.LiveHeap()) - int64(base)
+			t.Logf("%d Incs keep %d B live", leg.incs, live)
+			if direct == leg.hooked {
+				t.Fatalf("DirectProc non-nil = %v on a hooked=%v proc", direct, leg.hooked)
+			}
+			if got := c.Read(rt.NewProc(0)); got != uint64(leg.incs) {
+				t.Fatalf("Read = %d after %d Incs", got, leg.incs)
+			}
+			if live > maxLive {
+				t.Fatalf("%d Incs keep %d B live, want at most %d", leg.incs, live, maxLive)
+			}
+		})
+	}
+}
+
+// TestStaleWalkersInDroppedSubtree scripts, on the simulator, the
+// schedules that dropping a left subtree must survive, on a register of
+// width 256 (a root switch over two nodes of width 128, each a switch over
+// two flat trees of width 64):
+//   - a writer of 5 (proc 0) and a reader (proc 1) read the root switch as
+//     0, and a writer of 130 (proc 4) reads the right node's switch as 0;
+//   - a writer of 255 (proc 2) then fills the right subtree, sets the
+//     right node's switch, which drops that node's left child, and sets
+//     the root switch, which drops the root's left child;
+//   - between those two switch writes a reader (proc 3) finishes a first
+//     read and starts a second, reading the root switch as 0;
+//   - every stale walker then finishes inside the subtree dropped under
+//     it, and a late reader (proc 5) and a late writer of 7 (proc 6) run.
+//
+// Reads and per-process counts must equal the pointer tree's on the same
+// schedule, before and after a Reset, and both left children must have
+// been dropped. A drop made before its switch write hands the second read
+// of proc 3 a dropped child; a drop of the right child hides 255 from the
+// late reader.
+func TestStaleWalkersInDroppedSubtree(t *testing.T) {
+	const m, seed = 256, 1
+	script := [][]layoutOp{
+		{{write: true, v: 5}},
+		{{}},
+		{{write: true, v: 255}},
+		{{}, {}},
+		{{write: true, v: 130}},
+		{{}},
+		{{write: true, v: 7}},
+	}
+	var schedule []int
+	for _, turn := range []struct{ proc, steps int }{
+		{4, 1}, {0, 1}, {1, 1}, {3, 7}, {2, 7}, {3, 2}, {2, 1},
+		{4, 7}, {0, 7}, {1, 7}, {3, 7}, {5, 8}, {6, 1},
+	} {
+		for range turn.steps {
+			schedule = append(schedule, turn.proc)
+		}
+	}
+	wantReads := [][]uint64{nil, {5}, nil, {0, 5}, nil, {255}, nil}
+	run := func(rt *sim.Runtime, r MaxReg) (reads [][]uint64, counts []shmem.OpCounts) {
+		defer func() {
+			if v := recover(); v != nil {
+				t.Fatalf("a walk panicked: %v", v)
+			}
+		}()
+		return runLayoutScript(rt, r, script)
+	}
+	refRT := sim.New(seed, sim.NewReplay(schedule))
+	refReads, refCounts := run(refRT, newRefBounded(refRT, m))
+	rt := sim.New(seed, sim.NewReplay(schedule))
+	b := NewBounded(rt, m)
+	for _, reset := range []bool{false, true} {
+		if reset {
+			b.Reset()
+			rt.Reset(seed, sim.NewReplay(schedule))
+		}
+		reads, counts := run(rt, b)
+		for i := range script {
+			if !slices.Equal(reads[i], refReads[i]) || !slices.Equal(reads[i], wantReads[i]) {
+				t.Fatalf("reset=%v proc %d: reads %v, pointer tree read %v, want %v", reset, i, reads[i], refReads[i], wantReads[i])
+			}
+			if counts[i] != refCounts[i] {
+				t.Fatalf("reset=%v proc %d: counts %+v, pointer tree took %+v", reset, i, counts[i], refCounts[i])
+			}
+		}
+		if b.left.Load() != nil || b.right.Load().left.Load() != nil {
+			t.Fatalf("reset=%v: a set switch left its left child published", reset)
+		}
+	}
+}

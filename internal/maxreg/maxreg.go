@@ -13,10 +13,14 @@
 // width at most 64 keeps all its switch registers in one arena, in order,
 // and the wider nodes above it are allocated lazily, so a sparse value
 // touches only its own path. A dense run of new values, such as a
-// counter's sums, costs about one register per value: 8 B on one P, 64 B
-// when the native runtime pads its registers. The layout moves no step:
-// every operation reads and writes the same switches, in the same order,
-// as a tree of one heap node per switch would.
+// counter's sums, allocates about one register per value: 8 B on one P,
+// 64 B when the native runtime pads its registers. Only the path to the
+// largest value stays live: the write that sets a wide node's switch
+// drops the node's left subtree, which no later walk enters (see
+// Bounded), so a counter's live memory follows its value's path, not its
+// history. The layout moves no step: every operation reads and writes the
+// same switches, in the same order, as a tree of one heap node per switch
+// would.
 //
 // Walks: each operation tests its proc once. An unhooked native proc
 // (shmem.DirectProc) takes a word walk, which counts every step on the
@@ -59,10 +63,20 @@ const flatWidth = 64
 // mid = lo + (hi−lo+1)/2 owns register mid−1, which fits the halving rule
 // at any width. A wider tree keeps only its root switch and allocates its
 // two children lazily, down to flat subtrees, so sparse values touch only
-// their own paths. A dense run of new values thus costs about one register
-// each (8 B on one P, 64 B when the runtime pads its registers) plus a
-// share of the flat tree and the nodes above it. Allocation is bookkeeping
-// outside the step-counted model.
+// their own paths. A dense run of new values thus allocates about one
+// register each (8 B on one P, 64 B when the runtime pads its registers)
+// plus a share of the flat tree and the nodes above it. Allocation is
+// bookkeeping outside the step-counted model.
+//
+// Live memory: once a wide node's switch reads 1 no walk enters its left
+// subtree again (writers read the switch before turning left, readers turn
+// right), so the write that sets the switch unpublishes the left child. A
+// walk loads the left child before it reads the switch: one that then reads
+// 0 finishes in the subtree it holds, and the garbage collector frees the
+// subtree once the last such walk is done. A dropped subtree is never
+// reset or reused, since a stale walk may still be inside it. What stays
+// live is the path to the largest value written, not every subtree the
+// register ever built.
 type Bounded struct {
 	mem shmem.Mem
 	m   uint64
@@ -71,15 +85,15 @@ type Bounded struct {
 	sw shmem.RegArena
 
 	// high is a wide tree's root switch. Its children are published
-	// through an atomic pointer so the hot read/write paths take no lock;
-	// the mutex only serializes the one-time allocation.
-	high shmem.FastReg
-	mu   sync.Mutex
-	kids atomic.Pointer[boundedKids]
-}
-
-type boundedKids struct {
-	left, right *Bounded
+	// through atomic pointers so the walks take no lock; the mutex only
+	// serializes their one-time allocation, which stores left before
+	// right. right then stays; left returns to nil when the write that
+	// sets high drops it. A walk that turns left, and every read, loads
+	// right (allocating on nil), then left, then reads high: a nil left
+	// means the drop, which follows the switch write, so high reads 1.
+	high        shmem.FastReg
+	mu          sync.Mutex
+	left, right atomic.Pointer[Bounded]
 }
 
 var _ MaxReg = (*Bounded)(nil)
@@ -102,9 +116,9 @@ func NewBounded(mem shmem.Mem, m uint64) *Bounded {
 // half returns the split point: left covers [0, half), right [half, m).
 func (b *Bounded) half() uint64 { return (b.m + 1) / 2 }
 
-// Reset restores the register to its initial (all-zero) state, keeping the
-// lazily allocated tree so the next execution runs allocation-free.
-// Between executions only.
+// Reset restores the register to its initial (all-zero) state: it resets
+// the subtrees still published in place and allocates a fresh left child
+// wherever a set switch dropped one. Between executions only.
 func (b *Bounded) Reset() {
 	if b.m <= flatWidth {
 		if b.sw != nil {
@@ -113,33 +127,39 @@ func (b *Bounded) Reset() {
 		return
 	}
 	b.high.Restore(0)
-	if k := b.kids.Load(); k != nil {
-		k.left.Reset()
-		k.right.Reset()
+	right := b.right.Load()
+	if right == nil {
+		return
+	}
+	right.Reset()
+	if left := b.left.Load(); left != nil {
+		left.Reset()
+	} else {
+		b.left.Store(NewBounded(b.mem, b.half()))
 	}
 }
 
-// children returns a wide tree's two subtrees. The load is inlined into
-// the walks; only the first call on a node takes the lock and allocates.
-func (b *Bounded) children() *boundedKids {
-	if k := b.kids.Load(); k != nil {
-		return k
+// rightChild returns a wide tree's right subtree, allocating both children
+// on first touch. It inlines into the walks.
+func (b *Bounded) rightChild() *Bounded {
+	if right := b.right.Load(); right != nil {
+		return right
 	}
 	return b.allocChildren()
 }
 
-func (b *Bounded) allocChildren() *boundedKids {
+// allocChildren allocates a wide tree's children unless another walk has,
+// and returns the right one.
+func (b *Bounded) allocChildren() *Bounded {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if k := b.kids.Load(); k != nil {
-		return k
+	if right := b.right.Load(); right != nil {
+		return right
 	}
-	k := &boundedKids{
-		left:  NewBounded(b.mem, b.half()),
-		right: NewBounded(b.mem, b.m-b.half()),
-	}
-	b.kids.Store(k)
-	return k
+	right := NewBounded(b.mem, b.m-b.half())
+	b.left.Store(NewBounded(b.mem, b.half()))
+	b.right.Store(right)
+	return right
 }
 
 // WriteMax raises the register to at least v. Cost: O(log m) steps.
@@ -163,15 +183,24 @@ func (b *Bounded) writeMax(p shmem.Proc, v uint64) {
 		b.writeFlat(p, 0, b.m, v)
 		return
 	}
-	k := b.children()
 	if v < b.half() {
+		// Hold left before reading the switch (see Bounded.high). Every
+		// walk repeats these lines: as a helper they exceed the inlining
+		// budget, and the walks would pay a call per wide node.
+		if b.right.Load() == nil {
+			b.allocChildren()
+		}
+		left := b.left.Load()
 		if b.high.Read(p) == 0 {
-			k.left.writeMax(p, v)
+			left.writeMax(p, v)
 		}
 		return
 	}
-	k.right.writeMax(p, v-b.half())
+	b.rightChild().writeMax(p, v-b.half())
 	b.high.Write(p, 1)
+	if b.left.Load() != nil {
+		b.left.Store(nil) // the drop
+	}
 }
 
 // writeFlat is writeMax on the flat subtree over [lo, hi), lo ≤ v < hi.
@@ -199,16 +228,22 @@ func (b *Bounded) writeFlat(p shmem.Proc, lo, hi, v uint64) {
 // right turns recurse, as writeMax's do.
 func (b *Bounded) writeWords(np *shmem.NativeProc, v uint64) {
 	for b.m > flatWidth {
-		k := b.children()
 		if v >= b.half() {
-			k.right.writeWords(np, v-b.half())
+			b.rightChild().writeWords(np, v-b.half())
 			writeWord(np, b.high.Word(), 1)
+			if b.left.Load() != nil {
+				b.left.Store(nil)
+			}
 			return
 		}
+		if b.right.Load() == nil {
+			b.allocChildren()
+		}
+		left := b.left.Load()
 		if readWord(np, b.high.Word()) != 0 {
 			return
 		}
-		b = k.left
+		b = left
 	}
 	writeFlatWords(np, arenaWords(b.sw), 0, b.m, v)
 }
@@ -243,12 +278,15 @@ func (b *Bounded) ReadMax(p shmem.Proc) uint64 {
 func (b *Bounded) readMax(p shmem.Proc) uint64 {
 	var base uint64
 	for b.m > flatWidth {
-		k := b.children()
+		if b.right.Load() == nil {
+			b.allocChildren()
+		}
+		left := b.left.Load()
 		if b.high.Read(p) == 1 {
 			base += b.half()
-			b = k.right
+			b = b.right.Load()
 		} else {
-			b = k.left
+			b = left
 		}
 	}
 	lo, hi := uint64(0), b.m
@@ -267,12 +305,15 @@ func (b *Bounded) readMax(p shmem.Proc) uint64 {
 func (b *Bounded) readWords(np *shmem.NativeProc) uint64 {
 	var base uint64
 	for b.m > flatWidth {
-		k := b.children()
+		if b.right.Load() == nil {
+			b.allocChildren()
+		}
+		left := b.left.Load()
 		if readWord(np, b.high.Word()) == 1 {
 			base += b.half()
-			b = k.right
+			b = b.right.Load()
 		} else {
-			b = k.left
+			b = left
 		}
 	}
 	sw := arenaWords(b.sw)

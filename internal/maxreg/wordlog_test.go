@@ -28,6 +28,13 @@ type wordStep struct {
 // switch before writing the subtree it guards would log that write early
 // and fail here on every run.
 //
+// The Reset allocates a fresh left child wherever a set switch dropped
+// one, so the FastReg walk meets those registers at new addresses. Words
+// are therefore compared under a correspondence that the first meeting of
+// each word fixes and that must stay one-to-one for the whole script;
+// proc, op and value are compared exactly. Both logs stay referenced until
+// the script ends, so no address is reused for another register meanwhile.
+//
 // Run it with: go test -tags wordlog ./internal/maxreg/
 func TestWordWalkOrder(t *testing.T) {
 	var log []wordStep
@@ -51,13 +58,28 @@ func TestWordWalkOrder(t *testing.T) {
 				}
 			}
 			obj.Reset()
+			fast := make(map[*atomic.Uint64]*atomic.Uint64) // word walk's word -> FastReg walk's
+			word := make(map[*atomic.Uint64]*atomic.Uint64) // the inverse
+			same := func(w, f wordStep) bool {
+				if w.Proc != f.Proc || w.Op != f.Op || w.Val != f.Val {
+					return false
+				}
+				if got, ok := fast[w.Word]; ok {
+					return got == f.Word
+				}
+				if _, ok := word[f.Word]; ok {
+					return false
+				}
+				fast[w.Word], word[f.Word] = f.Word, w.Word
+				return true
+			}
 			g := rt.NewRunGroup(1)
 			g.SetHook(passHook{})
 			for i, op := range ops {
 				log = nil
 				g.Run(func(p shmem.Proc) { op.run(p) })
 				for j := range max(len(log), len(words[i])) {
-					if j >= len(log) || j >= len(words[i]) || log[j] != words[i][j] {
+					if j >= len(log) || j >= len(words[i]) || !same(words[i][j], log[j]) {
 						t.Fatalf("%s pad=%v op %d %s: step %d differs: word walk logged %d steps, FastReg walk %d\nword walk: %v\nFastReg walk: %v",
 							sc.label, pad, i, op.name, j, len(words[i]), len(log), words[i], log)
 					}

@@ -182,6 +182,32 @@ func TestPoolIncAllocFree(t *testing.T) {
 	}
 }
 
+// TestPoolLiveHeap bounds what a served counter keeps live: a joined-mode
+// pool, the path a served PhasedInc takes, must hold under 1 MB after 2^20
+// increments (2^16 under the race detector). A spine that kept every
+// max-register subtree it built held about 45 B per increment on one P
+// and 272 B with padded registers.
+func TestPoolLiveHeap(t *testing.T) {
+	const maxLive = 1 << 20
+	incs := uint64(1 << 20)
+	if allocs.Race {
+		incs = 1 << 16
+	}
+	base := allocs.LiveHeap()
+	p := NewPool(Options{Lanes: 2, Policy: PinJoined})
+	for range incs {
+		p.Inc()
+	}
+	live := int64(allocs.LiveHeap()) - int64(base)
+	t.Logf("%d Incs keep %d B live", incs, live)
+	if got := p.ReadStrict(); got != incs {
+		t.Fatalf("ReadStrict = %d after %d Incs", got, incs)
+	}
+	if live > maxLive {
+		t.Fatalf("%d Incs keep %d B live, want at most %d", incs, live, maxLive)
+	}
+}
+
 // TestPoolStats pins the summary surface.
 func TestPoolStats(t *testing.T) {
 	p := NewPool(Options{Lanes: 2, Epoch: 4, Policy: PinSplit})
