@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -105,6 +107,17 @@ func TestAgg(t *testing.T) {
 // TestAllExperimentsRun is the harness smoke test: every experiment must
 // produce a table with the ID it is listed under, its declared columns and
 // at least one row, and the correctness columns must all read true.
+//
+// It is also the simulator's determinism check. The tables, rendered as
+// `renamebench -quick -seeds 2` prints them, must match
+// testdata/quick-seeds2.txt byte for byte: simulator output is a pure
+// function of (seed, adversary), and reads the same at any GOMAXPROCS and
+// word size, so a diff means a change moved a schedule or a step count.
+// A change that means to do so regenerates the file with
+//
+//	go run ./cmd/renamebench -quick -seeds 2 > internal/bench/testdata/quick-seeds2.txt
+//
+// and says why in its description.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep")
@@ -114,8 +127,10 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Fatalf("got %d experiments", len(exps))
 	}
 	seen := map[string]bool{}
+	var out bytes.Buffer
 	for _, e := range exps {
 		tb := e.Run(quickCfg)
+		tb.Fprint(&out)
 		if tb.ID != e.ID {
 			t.Errorf("experiment listed as %s made table %s", e.ID, tb.ID)
 		}
@@ -140,6 +155,27 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, id := range []string{"E1", "E4", "E5", "E7", "E8", "E9", "E10", "E12", "E13", "E14", "E15", "E16", "E17"} {
 		if !seen[id] {
 			t.Errorf("experiment %s missing", id)
+		}
+	}
+
+	const golden = "testdata/quick-seeds2.txt"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("tables differ from %s at line %d:\n got: %q\nwant: %q", golden, i+1, g, w)
+			}
 		}
 	}
 }

@@ -289,9 +289,16 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 	// predecessor pushed past its budget fails fast instead of stretching
 	// the tail further. (Arrival time inside the kernel buffer is not
 	// observable; the budget bounds processing, which is what queues.)
+	//
+	// The frame reads the wall clock once, at t0; after each op it reads
+	// only the monotonic offset time.Since(t0), half the cost of a
+	// time.Now. Each op's duration, the deadline check, the stage sums and
+	// the sampled spans' start times all derive from those offsets, so a
+	// frame's op spans tile it exactly and the per-op histograms still
+	// record each op's own time.
 	t0 := time.Now()
 	budget := time.Duration(f.Deadline)
-	prev := t0
+	var prev time.Duration // offset from t0 at which the previous op ended
 	vals := ss.vals[:0]
 	// Tracing: the client marked this batch sampled, so every hop inside it
 	// records a span under the propagated trace id, parented on the frame
@@ -304,7 +311,7 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 	}
 	var admitNS, execNS int64
 	for i := 0; i < f.Ops(); i++ {
-		if budget > 0 && prev.Sub(t0) > budget {
+		if budget > 0 && prev > budget {
 			ss.srv.errs.Add(1)
 			return wire.AppendError(out, f.Seq, wire.EDeadline, "deadline exceeded mid-batch")
 		}
@@ -320,7 +327,7 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 			// op was never started, so the client may simply resubmit.
 			wait := adm.cfg.MaxWait
 			if budget > 0 {
-				wait = budget - prev.Sub(t0)
+				wait = budget - prev
 			}
 			var g *gate
 			g, waited = adm.acquire(arg, wait)
@@ -339,8 +346,8 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 			return wire.AppendError(out, f.Seq, wire.EBadOp, "unknown opcode")
 		}
 		vals = append(vals, v)
-		now := time.Now()
-		d := now.Sub(prev)
+		end := time.Since(t0)
+		d := end - prev
 		exec := d - waited
 		if exec < 0 {
 			exec = 0
@@ -348,12 +355,12 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 		admitNS += int64(waited)
 		execNS += int64(exec)
 		if sampled {
-			ss.recordOpSpans(&f, frameSpan, prev, waited, exec, code, arg)
+			ss.recordOpSpans(&f, frameSpan, t0, prev, waited, exec, code, arg)
 		}
 		ss.ophist[code&7].Record(uint64(d))
 		ss.ops[code&7]++
 		ss.nops++
-		prev = now
+		prev = end
 	}
 	ss.vals = vals
 	if f.Traced {
@@ -370,15 +377,17 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 }
 
 // recordOpSpans records a sampled op's spans — its admission wait (when it
-// queued) and the op itself, both parented on the frame span. Kept out of
-// line so the untraced serving loop pays one predicted branch, not the
-// span-construction code in its body.
-func (ss *session) recordOpSpans(f *wire.Frame, frameSpan uint64, prev time.Time, waited, exec time.Duration, code wire.OpCode, arg uint64) {
+// queued) and the op itself, both parented on the frame span; the op began
+// at offset prev from the frame's t0. Kept out of line so the untraced
+// serving loop pays one predicted branch, not the span-construction code
+// in its body.
+func (ss *session) recordOpSpans(f *wire.Frame, frameSpan uint64, t0 time.Time, prev, waited, exec time.Duration, code wire.OpCode, arg uint64) {
+	start := t0.UnixNano() + int64(prev)
 	if waited > 0 {
 		ss.srv.col.Record(obs.Span{
 			Trace:  f.Trace,
 			Parent: frameSpan,
-			Start:  prev.UnixNano(),
+			Start:  start,
 			Dur:    int64(waited),
 			Attr:   obs.PackAdmit(int64(waited), false, ss.srv.node),
 			Kind:   obs.KindAdmit,
@@ -387,21 +396,21 @@ func (ss *session) recordOpSpans(f *wire.Frame, frameSpan uint64, prev time.Time
 	ss.srv.col.Record(obs.Span{
 		Trace:  f.Trace,
 		Parent: frameSpan,
-		Start:  prev.UnixNano() + int64(waited),
+		Start:  start + int64(waited),
 		Dur:    int64(exec),
 		Attr:   ss.opAttr(code, arg),
 		Kind:   obs.KindOp,
 	})
 }
 
-// recordShedSpan records a sampled shed — the terminal admission wait and
-// the frame span that contains it (a shed batch returns before the loop's
-// normal frame-span record).
-func (ss *session) recordShedSpan(f *wire.Frame, frameSpan uint64, t0, prev time.Time, waited time.Duration) {
+// recordShedSpan records a sampled shed — the terminal admission wait,
+// which began at offset prev from t0, and the frame span that contains it
+// (a shed batch returns before the loop's normal frame-span record).
+func (ss *session) recordShedSpan(f *wire.Frame, frameSpan uint64, t0 time.Time, prev, waited time.Duration) {
 	ss.srv.col.Record(obs.Span{
 		Trace:  f.Trace,
 		Parent: frameSpan,
-		Start:  prev.UnixNano(),
+		Start:  t0.UnixNano() + int64(prev),
 		Dur:    int64(waited),
 		Attr:   obs.PackAdmit(int64(waited), true, ss.srv.node),
 		Kind:   obs.KindAdmit,

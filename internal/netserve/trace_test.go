@@ -2,10 +2,12 @@ package netserve
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -122,6 +124,34 @@ func TestTracedFrameSpansAndStages(t *testing.T) {
 		default:
 			t.Fatalf("unexpected op span code %d", obs.AttrOp(s.Attr))
 		}
+	}
+
+	// The frame reads the wall clock once and times its ops as offsets
+	// from it, so the op spans tile the frame span: in op order, each
+	// starting where the one before it ended, none outside the frame, and,
+	// with admission off, their durations summing to the echoed execute
+	// stage exactly. (Chain returns spans in fold order; sort by start.)
+	if frame.Dur != int64(f.SrvNS) {
+		t.Fatalf("frame span lasts %d ns, but the echoed server stage is %d ns", frame.Dur, f.SrvNS)
+	}
+	slices.SortStableFunc(opSpans, func(a, b obs.Span) int { return cmp.Compare(a.Start, b.Start) })
+	wantOrder := []wire.OpCode{wire.OpRename, wire.OpPhasedInc}
+	end, sum := frame.Start, int64(0)
+	for i, s := range opSpans {
+		if op := wire.OpCode(obs.AttrOp(s.Attr)); op != wantOrder[i] {
+			t.Fatalf("op span %d by start time is op %d, want %d: spans out of op order", i, op, wantOrder[i])
+		}
+		if s.Start < end {
+			t.Fatalf("op span %d starts at %d, before %d (the frame's start or the previous op's end)", i, s.Start, end)
+		}
+		end = s.Start + s.Dur
+		sum += s.Dur
+	}
+	if frameEnd := frame.Start + frame.Dur; end > frameEnd {
+		t.Fatalf("last op span ends at %d, after the frame span's end %d", end, frameEnd)
+	}
+	if sum != int64(f.ExecNS) {
+		t.Fatalf("op spans last %d ns in all, but the echoed execute stage is %d ns", sum, f.ExecNS)
 	}
 
 	// Unsampled traced batches still get the stage echo but record nothing.

@@ -37,30 +37,3 @@ func TestNativeArena(t *testing.T) {
 	testArena(t, "padded", NewNative(1, WithRegisterPadding(true)))
 	testArena(t, "unpadded", NewNative(1, WithRegisterPadding(false)))
 }
-
-func TestLazyTableRange(t *testing.T) {
-	tab := NewLazyTable[int]()
-	want := map[uint64]int{0: 10, 1: 11, 7: 17, 1 << 40: 40}
-	for k, v := range want {
-		tab.Insert(k, v)
-	}
-	got := map[uint64]int{}
-	tab.Range(func(k uint64, v int) bool {
-		got[k] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Range saw %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("Range[%d] = %d, want %d", k, got[k], v)
-		}
-	}
-	// Early stop: the callback returning false ends the walk.
-	n := 0
-	tab.Range(func(uint64, int) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("Range after false visited %d entries, want 1", n)
-	}
-}

@@ -22,11 +22,11 @@ import (
 // step costs the call, a type test, a counter increment and the memory
 // operation, with at most one locked instruction. A proc behind a step
 // hook (see hook.go) fails the type test and accounts through its
-// interface. Writes go through storeWord, which skips the locked store
-// when the word already holds the value. The simulator's registers take
-// the interface path, bit-identical to calling them directly — the
-// reuse-equivalence tests pin this down. LogWord, in every native step,
-// compiles to nothing outside the wordlog build tag.
+// interface. Writes and restores go through storeWord, which skips the
+// locked store when the word already holds the value. The simulator's
+// registers take the interface path, bit-identical to calling them
+// directly — the reuse-equivalence tests pin this down. LogWord, in every
+// native step, compiles to nothing outside the wordlog build tag.
 //
 // tas, splitter, maxreg and core store FastReg in place of Reg/CASReg on
 // their hot-path fields; construction wraps once via Fast at instantiation
@@ -160,9 +160,10 @@ func (r FastReg) CompareAndSwap(p Proc, old, new uint64) bool {
 }
 
 // Restore resets the register between executions (no step accounting).
+// A native register that already holds v is only read (storeWord).
 func (r FastReg) Restore(v uint64) {
 	if r.w != nil {
-		r.w.Store(v)
+		storeWord(r.w, v)
 		return
 	}
 	r.slow.Restore(v)
@@ -186,7 +187,9 @@ func stepFast(p Proc, op Op) {
 // value takes effect at the load that saw that value. Under trace
 // recording the load and the store both happen inside the step's recorded
 // window (internal/exec holds its ordering lock until the process's next
-// step), so replay sees the same order.
+// step), so replay sees the same order. Restores and arena resets use it
+// too: between executions most registers of a reused graph already hold
+// their initial value.
 func storeWord(w *atomic.Uint64, v uint64) {
 	if w.Load() != v {
 		w.Store(v)

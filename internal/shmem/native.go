@@ -185,7 +185,8 @@ func (r *nativeReg) CompareAndSwap(p Proc, old, new uint64) bool {
 }
 
 // Restore resets the register between executions (no step accounting).
-func (r *nativeReg) Restore(v uint64) { r.v.Store(v) }
+// A register that already holds v is only read (storeWord).
+func (r *nativeReg) Restore(v uint64) { storeWord(&r.v, v) }
 
 // paddedReg pads a register word to a full cache line: renaming networks
 // allocate registers in droves, and adjacent hot registers (the two sides

@@ -22,12 +22,19 @@ import (
 // exactly once per key as far as any process can observe. One table serves
 // both runtimes: on the simulator only one process runs at a time, so the
 // mutex is never contended.
+//
+// Range costs the entries, not the capacity: while the table is still its
+// inline first generation, an occupancy word lists the occupied slots, and
+// a grown generation is more than a third full. Serving pools reset their
+// graphs through Range after every operation, and an operation at low
+// contention builds only a few objects.
 type LazyTable[V any] struct {
 	tab     atomic.Pointer[lazyTab[V]]
 	zeroVal V           // the rare real key 0 (0 marks empty slots)
 	zeroSet atomic.Bool // publishes zeroVal (written under mu)
 	mu      sync.Mutex  // guards inserts and growth
 	n       atomic.Int64
+	occ     atomic.Uint64 // bit i: firstSlots[i] holds a key (set under mu after the key)
 
 	// The first generation lives inline, so a new table costs a single
 	// allocation: object graphs build many small tables (two per RatRace
@@ -51,7 +58,7 @@ type lazySlot[V any] struct {
 	val V
 }
 
-const lazyTableMinSize = 64 // power of two
+const lazyTableMinSize = 64 // power of two; the occupancy word has a bit per slot
 
 // NewLazyTable returns an empty table.
 func NewLazyTable[V any]() *LazyTable[V] {
@@ -132,6 +139,9 @@ func (t *LazyTable[V]) Insert(key uint64, v V) V {
 	}
 	c.slots[i].val = v        // value first...
 	c.slots[i].key.Store(key) // ...then the key that publishes it
+	if c == &t.first {
+		t.occ.Or(1 << i) // ...then the bit that lists it for Range
+	}
 	t.n.Add(1)
 	return v
 }
@@ -163,12 +173,24 @@ func (t *LazyTable[V]) grow(old *lazyTab[V]) *lazyTab[V] {
 // Range calls f for every object in the table until f returns false. The
 // iteration order is unspecified. Range is bookkeeping (Reset walks the
 // instantiated object graph with it); objects inserted while it runs may
-// or may not be visited.
+// or may not be visited. On the inline generation it visits only the slots
+// the occupancy word lists, in slot order as a scan would; a grown
+// generation is scanned. The inline slots never change once the table
+// grows, so a Range that loaded the inline generation may still read them.
 func (t *LazyTable[V]) Range(f func(key uint64, v V) bool) {
 	if t.zeroSet.Load() && !f(0, t.zeroVal) {
 		return
 	}
 	c := t.tab.Load()
+	if c == &t.first {
+		for occ := t.occ.Load(); occ != 0; occ &= occ - 1 {
+			s := &c.slots[bits.TrailingZeros64(occ)]
+			if !f(s.key.Load(), s.val) {
+				return
+			}
+		}
+		return
+	}
 	for i := range c.slots {
 		if k := c.slots[i].key.Load(); k != 0 && !f(k, c.slots[i].val) {
 			return

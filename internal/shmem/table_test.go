@@ -143,3 +143,86 @@ func TestLazyTableConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestLazyTableRange checks that Range visits every inserted key exactly
+// once, with its value: key 0 alone and beside others, a sparse inline
+// table, a full inline one (47 entries; Range lists them through the
+// occupancy word) and a grown one (200 entries; Range scans the
+// generation). In the concurrent mode, Ranges run while the keys go in:
+// each may miss a key still being inserted, but must never visit one twice
+// or see a value other than the one its key was inserted with.
+func TestLazyTableRange(t *testing.T) {
+	spread := func(n int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(i+1) * 0x9E3779B9
+		}
+		return keys
+	}
+	cases := []struct {
+		name   string
+		keys   []uint64
+		inline bool
+	}{
+		{"zero", []uint64{0}, true},
+		{"zero-and-one", []uint64{0, 1}, true},
+		{"sparse", []uint64{0, 3, 1 << 40, 0xdeadbeef, ^uint64(0)}, true},
+		{"inline-47", spread(47), true},
+		{"grown-200", append([]uint64{0}, spread(199)...), false},
+	}
+	value := func(k uint64) int { return int(k%1_000_003) + 1 }
+	for _, mode := range accessModes {
+		for _, tc := range cases {
+			t.Run(mode+"/"+tc.name, func(t *testing.T) {
+				tab := NewLazyTable[int]()
+				visit := func(want int) {
+					seen := make(map[uint64]bool, len(tc.keys))
+					tab.Range(func(k uint64, v int) bool {
+						if seen[k] {
+							t.Errorf("Range visited key %#x twice", k)
+						}
+						seen[k] = true
+						if v != value(k) {
+							t.Errorf("Range saw key %#x = %d, want %d", k, v, value(k))
+						}
+						return true
+					})
+					if want >= 0 && len(seen) != want {
+						t.Errorf("Range visited %d keys, want %d", len(seen), want)
+					}
+				}
+				insert := func() {
+					for _, k := range tc.keys {
+						tab.Insert(k, value(k))
+					}
+				}
+				if mode == "concurrent" {
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						insert()
+					}()
+					for running := true; running; {
+						select {
+						case <-done:
+							running = false
+						default:
+							visit(-1)
+						}
+					}
+				} else {
+					insert()
+				}
+				if inline := tab.tab.Load() == &tab.first; inline != tc.inline {
+					t.Fatalf("%d entries: inline = %v, want %v", len(tc.keys), inline, tc.inline)
+				}
+				visit(len(tc.keys))
+				var n int
+				tab.Range(func(uint64, int) bool { n++; return false })
+				if n != 1 {
+					t.Fatalf("Range went on after f returned false: %d visits", n)
+				}
+			})
+		}
+	}
+}

@@ -82,8 +82,9 @@ type Tree struct {
 	// Splitter shells and registers are chunk-allocated: node allocation
 	// sits on the descent path and would otherwise cost three allocations
 	// per node. mu guards the chunk cursor against concurrent descents;
-	// arenas keeps every register chunk ever handed out so Reset can
-	// restore the whole tree with a few sweeps.
+	// arenas keeps every register chunk ever handed out, the current one
+	// (chunk, whose first off shells are handed out) last, so Reset can
+	// restore every register the tree handed out.
 	mu     sync.Mutex
 	shells []Splitter
 	chunk  shmem.RegArena
@@ -109,7 +110,7 @@ func (t *Tree) node(idx uint64) *Splitter {
 }
 
 // newSplitter takes the next splitter from the current chunk. A splitter
-// that loses its Insert race stays in its chunk unused; Reset sweeps it
+// that loses its Insert race stays in its chunk unused; Reset restores it
 // like any other.
 func (t *Tree) newSplitter() *Splitter {
 	t.mu.Lock()
@@ -129,10 +130,20 @@ func (t *Tree) newSplitter() *Splitter {
 
 // Reset restores every allocated splitter to its initial state, keeping
 // the node table: the next execution reuses the same nodes with zero
-// allocation. Must only run between executions.
+// allocation. It restores only the registers the tree handed out: older
+// chunks whole, and in the current chunk the first off splitters, since
+// the rest of that chunk has never left it and still reads zero. A tree
+// that served one solo descent restores two registers, not a chunk. Must
+// only run between executions.
 func (t *Tree) Reset() {
-	for _, a := range t.arenas {
+	if t.chunk == nil {
+		return
+	}
+	for _, a := range t.arenas[:len(t.arenas)-1] {
 		a.Reset()
+	}
+	for i := range t.shells[:t.off] {
+		t.shells[i].Reset()
 	}
 }
 
