@@ -5,15 +5,16 @@
 // -cpu 1,2,4,8 to sweep the goroutine/CPU axis; the -cpu 1 row is the
 // single-goroutine baseline of the scaling comparison.
 //
-// Three comparisons matter:
+// Two comparisons matter:
 //
-//   - PoolRename/PoolCounter vs the same name at higher -cpu: shard
-//     scaling (flat on a single-core host; see BENCHMARKS.md for the
-//     caveat).
+//   - PoolRename vs the same name at higher -cpu: shard scaling (flat on
+//     a single-core host; see BENCHMARKS.md for the caveat).
 //   - PoolRename vs UnpooledRename: what recycling saves over
 //     instantiating a graph per request (both paths compile once).
-//   - PoolCounter vs SharedCounter: sharded checkout vs all goroutines
-//     hammering one shared instance.
+//
+// SharedCounter is the paper counter's in-process cost: every goroutine
+// on one shared instance. A counter is not pooled, since a pool resets an
+// instance on every return.
 package renaming_test
 
 import (
@@ -57,25 +58,8 @@ func BenchmarkUnpooledRenameThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkPoolCounterThroughput serves counter increments+reads from a
-// sharded pool.
-func BenchmarkPoolCounterThroughput(b *testing.B) {
-	pool := renaming.NewCounterPool()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			pool.Do(func(p renaming.Proc, c *renaming.Counter) {
-				c.Inc(p)
-				c.Read(p)
-			})
-		}
-	})
-	reportPoolStats(b, pool.Stats())
-}
-
-// BenchmarkSharedCounterThroughput is the unsharded baseline: every
-// goroutine hammers one shared counter instance (contended increments on
-// one object graph instead of sharded checkouts).
+// BenchmarkSharedCounterThroughput is the paper counter's in-process
+// cost: every goroutine increments and reads one shared counter instance.
 func BenchmarkSharedCounterThroughput(b *testing.B) {
 	rt := renaming.NewNative(1).(*renaming.Native)
 	c := renaming.CompileCounter(renaming.WithHardwareTAS()).Instantiate(rt)

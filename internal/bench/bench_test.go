@@ -2,9 +2,10 @@ package bench
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 // quickCfg keeps experiment smoke tests fast.
@@ -158,24 +159,5 @@ func TestAllExperimentsRun(t *testing.T) {
 		}
 	}
 
-	const golden = "testdata/quick-seeds2.txt"
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out.Bytes(); !bytes.Equal(got, want) {
-		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("tables differ from %s at line %d:\n got: %q\nwant: %q", golden, i+1, g, w)
-			}
-		}
-	}
+	golden.Check(t, "testdata/quick-seeds2.txt", out.Bytes())
 }

@@ -27,6 +27,21 @@ func (e *NodeError) Error() string {
 
 func (e *NodeError) Unwrap() error { return e.Err }
 
+// ErrNameOutOfRange is the failure of a node whose rename reply would
+// leave its range: a node-local name must lie in [1, Span), so that its
+// cluster name, offset by Base, stays inside [Base, Base+Span) and cannot
+// collide with another node's. A *NodeError wraps it.
+var ErrNameOutOfRange = errors.New("rename reply outside the node's range")
+
+// fits reports whether node-local name v lies in [1, Span).
+func (n *Node) fits(v uint64) bool { return v != 0 && v < n.Span }
+
+// rangeError is the *NodeError of a node that answered v, a name it does
+// not fit.
+func (n *Node) rangeError(v uint64) error {
+	return &NodeError{Node: *n, Err: fmt.Errorf("%w: node-local name %d, want [1,%d)", ErrNameOutOfRange, v, n.Span)}
+}
+
 // Client is the cluster-side of the tier: one pipelined wire client per
 // ring node, a router in front of them, and a scatter-gather batch surface
 // on top. Routing and reply offsetting are client-side arithmetic — the
@@ -122,7 +137,7 @@ func (c *Client) Stages() load.Stages {
 // Do issues one operation routed by key and blocks for its value. Rename
 // replies come back offset into the owning node's range — the cluster-wide
 // name. Failures carry the node: a *NodeError wrapping the wire client's
-// typed error.
+// typed error, or ErrNameOutOfRange for a rename reply outside the range.
 func (c *Client) Do(code wire.OpCode, key, arg uint64) (uint64, error) {
 	n := c.ring.Route(key)
 	v, err := c.conns[n].Do(code, arg)
@@ -130,7 +145,11 @@ func (c *Client) Do(code wire.OpCode, key, arg uint64) (uint64, error) {
 		return 0, &NodeError{Node: c.ring.nodes[n], Err: err}
 	}
 	if code == wire.OpRename {
-		v += c.ring.nodes[n].Base
+		nd := &c.ring.nodes[n]
+		if !nd.fits(v) {
+			return 0, nd.rangeError(v)
+		}
+		v += nd.Base
 	}
 	return v, nil
 }
@@ -273,28 +292,23 @@ func (b *Batch) Send() error {
 // order, rename replies offset into their node's range. If any node
 // failed, its ops' value slots read zero and the error is the first such
 // node's *NodeError (per-op attribution via OpErr); the other nodes'
-// values are still delivered and valid.
+// values are still delivered and valid. A node that answers a rename
+// outside its range has failed too (ErrNameOutOfRange).
 func (b *Batch) Wait() ([]uint64, error) {
-	var first error
 	for i, sub := range b.subs {
 		if !b.sent[i] {
-			if b.errs[i] != nil && first == nil {
-				first = b.errs[i]
-			}
 			continue
 		}
 		b.sent[i] = false
 		vals, err := sub.Wait()
 		if err != nil {
 			b.errs[i] = &NodeError{Node: b.c.ring.nodes[i], Err: err}
-			if first == nil {
-				first = b.errs[i]
-			}
 			continue
 		}
 		b.nvals[i] = vals
 	}
 	b.vals = b.vals[:0]
+	outOfRange := false
 	for _, s := range b.order {
 		if b.errs[s.node] != nil {
 			b.vals = append(b.vals, 0)
@@ -302,9 +316,30 @@ func (b *Batch) Wait() ([]uint64, error) {
 		}
 		v := b.nvals[s.node][s.idx]
 		if s.code == wire.OpRename {
-			v += b.c.ring.nodes[s.node].Base
+			nd := &b.c.ring.nodes[s.node]
+			if !nd.fits(v) {
+				b.errs[s.node] = nd.rangeError(v)
+				outOfRange = true
+			}
+			v += nd.Base
 		}
 		b.vals = append(b.vals, v)
+	}
+	if outOfRange {
+		// Zero every value of a node that failed here, also those
+		// gathered before its bad name was seen.
+		for i, s := range b.order {
+			if b.errs[s.node] != nil {
+				b.vals[i] = 0
+			}
+		}
+	}
+	var first error
+	for _, err := range b.errs {
+		if err != nil {
+			first = err
+			break
+		}
 	}
 	if b.sampled && b.c.col != nil {
 		// The gather root: scatter to last sub-reply, with the sub-batch

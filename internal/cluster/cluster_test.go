@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -463,10 +464,10 @@ func TestClusterShedSurfaced(t *testing.T) {
 // --- allocation discipline ---
 
 // fakeNode serves wire frames over conn allocation-free in steady state:
-// reads into a reused buffer, echoes each op's argument as its value into
-// a reused reply buffer. The 0-alloc pin below measures process-wide
+// reads into a reused buffer, answers each op with answer(arg) into a
+// reused reply buffer. The 0-alloc pin below measures process-wide
 // mallocs, so the fixture must be as disciplined as the code under test.
-func fakeNode(conn net.Conn) {
+func fakeNode(conn net.Conn, answer func(arg uint64) uint64) {
 	var buf []byte
 	out := make([]byte, 0, 4096)
 	vals := make([]uint64, 0, wire.MaxOps)
@@ -483,7 +484,7 @@ func fakeNode(conn net.Conn) {
 		vals = vals[:0]
 		for i := 0; i < f.Ops(); i++ {
 			_, arg := f.Op(i)
-			vals = append(vals, arg)
+			vals = append(vals, answer(arg))
 		}
 		out = wire.AppendReply(out[:0], f.Seq, vals)
 		if _, err := conn.Write(out); err != nil {
@@ -505,7 +506,7 @@ func TestClusterBatchAllocationFree(t *testing.T) {
 	conns := make([]*netserve.Client, 3)
 	for i := range conns {
 		cli, srv := net.Pipe()
-		go fakeNode(srv)
+		go fakeNode(srv, echo)
 		conns[i] = netserve.NewClient(cli)
 		defer conns[i].Close()
 	}
@@ -514,10 +515,11 @@ func TestClusterBatchAllocationFree(t *testing.T) {
 		t.Fatalf("client: %v", err)
 	}
 
+	// Keys from 1: an echoed key is the node-local name, and 0 is none.
 	b := c.NewBatch()
 	cycle := func() {
 		b.Reset()
-		for i := uint64(0); i < 32; i++ {
+		for i := uint64(1); i <= 32; i++ {
 			b.Rename(i)
 		}
 		vals, err := b.Commit()
@@ -538,7 +540,7 @@ func TestClusterBatchAllocationFree(t *testing.T) {
 
 	// And the gathered values still honor the offset contract.
 	b.Reset()
-	for i := uint64(0); i < 8; i++ {
+	for i := uint64(1); i <= 8; i++ {
 		b.Rename(i)
 	}
 	vals, err := b.Commit()
@@ -546,10 +548,75 @@ func TestClusterBatchAllocationFree(t *testing.T) {
 		t.Fatalf("commit: %v", err)
 	}
 	for i, v := range vals {
-		key := uint64(i)
+		key := uint64(i + 1)
 		nd := ring.Node(ring.Route(key))
 		if v != key+nd.Base {
 			t.Fatalf("echoed rename(key %d) = %d, want %d (arg + node base)", key, v, key+nd.Base)
 		}
+	}
+}
+
+func echo(arg uint64) uint64 { return arg }
+
+// TestClusterNameOutOfRange points node 1 of a two-node ring at a fake
+// node that answers every op with one fixed value. A rename reply of 0 or
+// of Span or more would leave node 1's range, so that node has failed:
+// Do returns 0 and a *NodeError wrapping ErrNameOutOfRange, and in a
+// batch every op of node 1 reads 0 with OpErr set, the phased op gathered
+// before the bad name included, while node 0's values are delivered. A
+// reply of Span−1 is the last name node 1 may hand out.
+func TestClusterNameOutOfRange(t *testing.T) {
+	const span = 1000
+	ring, err := New([]string{"a:1", "b:2"}, span)
+	if err != nil {
+		t.Fatalf("ring: %v", err)
+	}
+	k0 := keyFor(t, ring, 0, 1)
+	k1 := keyFor(t, ring, 1, 1)
+	for _, tc := range []struct {
+		answer uint64
+		ok     bool
+	}{{span - 1, true}, {span, false}, {0, false}, {1 << 40, false}} {
+		conns := make([]*netserve.Client, 2)
+		for i, answer := range []func(uint64) uint64{echo, func(uint64) uint64 { return tc.answer }} {
+			cli, srv := net.Pipe()
+			go fakeNode(srv, answer)
+			conns[i] = netserve.NewClient(cli)
+		}
+		c, err := NewClientConns(ring, conns)
+		if err != nil {
+			t.Fatalf("client: %v", err)
+		}
+
+		v, err := c.Do(wire.OpRename, k1, k1)
+		switch {
+		case tc.ok && (err != nil || v != span+tc.answer):
+			t.Errorf("answer %d: Do = %d, %v; want %d", tc.answer, v, err, span+tc.answer)
+		case !tc.ok && (v != 0 || !errors.Is(err, ErrNameOutOfRange)):
+			t.Errorf("answer %d: Do = %d, %v; want 0 and ErrNameOutOfRange", tc.answer, v, err)
+		}
+
+		b := c.NewBatch().Rename(k0).Add(wire.OpPhasedRead, k1, 0).Rename(k1).Rename(k0)
+		vals, err := b.Commit()
+		want := []uint64{k0, tc.answer, span + tc.answer, k0}
+		if !tc.ok {
+			want[1], want[2] = 0, 0
+			var ne *NodeError
+			if !errors.As(err, &ne) || ne.Node.ID != 1 || !errors.Is(err, ErrNameOutOfRange) {
+				t.Errorf("answer %d: batch error %v, want node 1's *NodeError wrapping ErrNameOutOfRange", tc.answer, err)
+			}
+			if b.OpErr(1) == nil || b.OpErr(2) == nil {
+				t.Errorf("answer %d: node 1's ops carry no error", tc.answer)
+			}
+		} else if err != nil {
+			t.Errorf("answer %d: batch error %v", tc.answer, err)
+		}
+		if b.OpErr(0) != nil || b.OpErr(3) != nil {
+			t.Errorf("answer %d: node 0's ops carry errors: %v / %v", tc.answer, b.OpErr(0), b.OpErr(3))
+		}
+		if !slices.Equal(vals, want) {
+			t.Errorf("answer %d: batch values %v, want %v", tc.answer, vals, want)
+		}
+		c.Close()
 	}
 }

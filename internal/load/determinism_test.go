@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/golden"
 )
 
 // simScenario shrinks a catalog scenario to a fast simulator budget.
@@ -69,10 +71,19 @@ func TestSimReplayMatches(t *testing.T) {
 // TestSimCatalogDeterministic sweeps the whole catalog through the
 // simulator runner: every scenario must run, verdict ok, and replay
 // bit-identically per seed.
+//
+// At the seed and op budget `renameload -scenario S -runtime sim -json`
+// uses (the scenario's own), each scenario's stable report must also match
+// testdata/sim-S.json byte for byte, so a change that moves a schedule
+// fails here even though it replays consistently. A change that means to
+// move one deletes the files it moves and reruns the test to write them
+// (package golden).
 func TestSimCatalogDeterministic(t *testing.T) {
 	for _, c := range Catalog() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
+			golden.Check(t, "testdata/sim-"+c.Name+".json", RunSim(c, c.Seed).Stable().JSON())
+
 			s := c
 			s.Ops = 48
 			r1 := RunSim(s, 21)

@@ -243,3 +243,31 @@ func TestPhasedReuseBitIdentical(t *testing.T) {
 		t.Fatalf("reset rerun diverges: %d vs %d events", len(evA), len(evB))
 	}
 }
+
+// TestJoinedIncStepsByLanes pins the exact steps that 65,536 joined
+// increments take, from zero, on one direct native proc, for spines of 1,
+// 2, 4 and 8 lanes: 32, 90, 148 and 206 per increment. A lane count sizes
+// the spine (2×lanes leaves), and the pool's default lane count follows
+// GOMAXPROCS, so these are what a served joined increment costs at each
+// size; a layout change that deepens a spine shows here as a diff.
+func TestJoinedIncStepsByLanes(t *testing.T) {
+	const incs = 1 << 16
+	for _, c := range []struct {
+		lanes int
+		steps uint64
+	}{{1, 2_097_220}, {2, 5_898_444}, {4, 9_699_668}, {8, 13_500_892}} {
+		rt := shmem.NewNative(1)
+		p := rt.NewProc(0)
+		ctr := phase.NewAAC(rt, c.lanes, 1024)
+		for range incs {
+			ctr.Inc(p)
+		}
+		if got := p.StepsTaken(); got != c.steps {
+			t.Errorf("%d lanes: %d joined increments took %d steps (%.2f each), want %d",
+				c.lanes, incs, got, float64(got)/incs, c.steps)
+		}
+		if v := ctr.Read(p); v != incs {
+			t.Fatalf("%d lanes: read %d after %d increments", c.lanes, v, incs)
+		}
+	}
+}

@@ -25,9 +25,14 @@ const (
 // Options configures a Pool.
 type Options struct {
 	// Lanes is the number of serving lanes (rounded up to a power of two;
-	// default 8, or 2×GOMAXPROCS when larger). Each lane is a dedicated
-	// native proc plus its own contention counters; lane count is also the
-	// counter's cell/shard count.
+	// default 2×GOMAXPROCS, the rule serve.Pool sizes its shards by). Each
+	// lane is a dedicated native proc plus its own contention counters,
+	// held for one operation; lane count is also the counter's cell count
+	// and the spine's process count, and every joined increment walks an
+	// AAC tree over twice that many leaves. At most GOMAXPROCS goroutines
+	// run operations at once, so two lanes per P leave one spare per P for
+	// a holder descheduled mid-operation, and a lease that finds every lane
+	// held yields.
 	Lanes int
 	// Epoch is the cooperative merge period per cell (rounded up to a
 	// power of two; default 1024): in split mode a lane merges its cell
@@ -58,10 +63,7 @@ const (
 
 func (o Options) withDefaults() Options {
 	if o.Lanes <= 0 {
-		o.Lanes = 8
-		if g := 2 * runtime.GOMAXPROCS(0); g > o.Lanes {
-			o.Lanes = g
-		}
+		o.Lanes = 2 * runtime.GOMAXPROCS(0)
 	}
 	o.Lanes = ceilPow2(o.Lanes)
 	if o.Epoch <= 0 {

@@ -9,14 +9,18 @@ import (
 )
 
 // TestPoolDefaults pins option normalization: lanes round up to a power
-// of two, and zero values take their defaults.
+// of two, and zero values take their defaults, 2×GOMAXPROCS lanes among
+// them (no floor: one P gets two lanes).
 func TestPoolDefaults(t *testing.T) {
 	if o := (Options{Lanes: 5, Epoch: 3}).withDefaults(); o.Lanes != 8 || o.Epoch != 3 {
 		t.Errorf("Lanes, Epoch = %d, %d, want 8, 3", o.Lanes, o.Epoch)
 	}
-	want := ceilPow2(max(8, 2*runtime.GOMAXPROCS(0)))
-	if o := (Options{}).withDefaults(); o.Lanes != want || o.Epoch != 1024 || o.Policy != Auto {
-		t.Errorf("zero Options = %+v, want %d lanes, epoch 1024, Auto", o, want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ procs, lanes int }{{1, 2}, {2, 4}, {3, 8}} {
+		runtime.GOMAXPROCS(c.procs)
+		if o := (Options{}).withDefaults(); o.Lanes != c.lanes || o.Epoch != 1024 || o.Policy != Auto {
+			t.Errorf("GOMAXPROCS %d: zero Options = %+v, want %d lanes, epoch 1024, Auto", c.procs, o, c.lanes)
+		}
 	}
 }
 

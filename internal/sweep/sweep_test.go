@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 func testSpace(t *testing.T, names []string, seeds int) *Space {
@@ -34,7 +36,22 @@ func runStable(t *testing.T, sp *Space, opts Options) []byte {
 
 // TestGridDeterminism pins the sweep's core contract: the stable report is
 // bit-identical across worker counts, task interleavings, and repeated runs.
+//
+// The space `renamesweep -seeds 2 -budget 400 -json` runs (every catalog
+// object) must also report, at one and at two workers, what
+// testdata/grid-seeds2-budget400.json holds, byte for byte. A change that
+// means to move a schedule deletes the file and reruns the test to write
+// it (package golden).
 func TestGridDeterminism(t *testing.T) {
+	all, err := NewSpace(Objects(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2} {
+		got := append(runStable(t, all, Options{Workers: w, Budget: 400}), '\n')
+		golden.Check(t, "testdata/grid-seeds2-budget400.json", got)
+	}
+
 	sp := testSpace(t, []string{"rename4", "bitbatch64", "counter8"}, 3)
 	base := runStable(t, sp, Options{Workers: 1})
 	for _, w := range []int{1, 2, 3, runtime.GOMAXPROCS(0), 8} {

@@ -38,8 +38,11 @@ const (
 type PhasedOption func(*phase.Options)
 
 // WithLanes sets the number of serving lanes (rounded up to a power of
-// two; default 8, or 2×GOMAXPROCS when larger). Lane count is also the
-// counter's shard-cell count.
+// two; default 2×GOMAXPROCS, as for a Pool's shards). Lane count is also
+// the counter's shard-cell count and sizes the spine every joined
+// increment walks, so the default follows the goroutines that can run an
+// operation at once: one lane each, plus one spare per P for a holder
+// descheduled mid-operation.
 func WithLanes(n int) PhasedOption {
 	return func(o *phase.Options) { o.Lanes = n }
 }

@@ -64,7 +64,9 @@ type InstanceBlueprint[T Resettable] interface {
 //
 //	pool := renaming.NewPool[*renaming.StrongAdaptive](renaming.CompileRenaming())
 //
-// (NewRenamingPool and NewCounterPool bundle the common choices.)
+// (NewRenamingPool bundles the common choice. A counter is not pooled: a
+// pool resets each instance on Put, so every checkout of a pooled counter
+// would start from zero. NewPhasedCounterPool serves one shared counter.)
 func NewPool[T Resettable](bp InstanceBlueprint[T], opts ...PoolOption) *Pool[T] {
 	return NewPoolFunc(bp.Instantiate, opts...)
 }
@@ -86,10 +88,4 @@ func NewPoolFunc[T Resettable](instantiate func(mem Mem) T, opts ...PoolOption) 
 // hardware remark).
 func NewRenamingPool(opts ...PoolOption) *Pool[*StrongAdaptive] {
 	return NewPool[*StrongAdaptive](CompileRenaming(WithHardwareTAS()), opts...)
-}
-
-// NewCounterPool builds a pool of monotone-consistent counters with
-// hardware test-and-set.
-func NewCounterPool(opts ...PoolOption) *Pool[*Counter] {
-	return NewPool[*Counter](CompileCounter(WithHardwareTAS()), opts...)
 }
