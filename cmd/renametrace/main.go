@@ -26,8 +26,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	renaming "repro"
@@ -35,18 +37,33 @@ import (
 )
 
 func main() {
-	k := flag.Int("k", 6, "number of participating processes")
-	seed := flag.Uint64("seed", 1, "coin seed (same seed+adversary+crash plan ⇒ same execution)")
-	advName := flag.String("adversary", "random", "roundrobin | random | sequential | anticoin | laggard | oscillator (simulated mode)")
-	maxLines := flag.Int("max", 40, "print at most this many trace lines (0 = all; text mode only)")
-	crash := flag.String("crash", "", "fault plan, e.g. 2@15,4@60: crash process p after s completed steps")
-	native := flag.Bool("native", false, "record on the native runtime, check the trace, replay it on the simulator")
-	jsonOut := flag.Bool("json", false, "emit the full transcript as JSON")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "renametrace:", err)
+		os.Exit(2)
+	}
+}
+
+// run is the command: it parses args, runs the execution they describe
+// and writes its transcript to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("renametrace", flag.ContinueOnError)
+	k := fs.Int("k", 6, "number of participating processes")
+	seed := fs.Uint64("seed", 1, "coin seed (same seed+adversary+crash plan ⇒ same execution)")
+	advName := fs.String("adversary", "random", "roundrobin | random | sequential | anticoin | laggard | oscillator (simulated mode)")
+	maxLines := fs.Int("max", 40, "print at most this many trace lines (0 = all; text mode only)")
+	crash := fs.String("crash", "", "fault plan, e.g. 2@15,4@60: crash process p after s completed steps")
+	native := fs.Bool("native", false, "record on the native runtime, check the trace, replay it on the simulator")
+	jsonOut := fs.Bool("json", false, "emit the full transcript as JSON")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	plan, err := renaming.ParseFaultPlan(*crash)
 	if err != nil {
-		fatal(fmt.Errorf("-crash: %w", err))
+		return fmt.Errorf("-crash: %w", err)
 	}
 
 	var rt renaming.Runtime
@@ -57,7 +74,7 @@ func main() {
 	} else {
 		adv, err := pickAdversary(*advName, *seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		rt = renaming.NewSim(*seed, adv)
 	}
@@ -83,10 +100,10 @@ func main() {
 	}
 
 	if *jsonOut {
-		emitJSON(mode, *k, *seed, *advName, *crash, names, st, log, checkErr, replay)
-		return
+		return emitJSON(stdout, mode, *k, *seed, *advName, *crash, names, st, log, checkErr, replay)
 	}
-	emitText(mode, *k, *seed, *advName, *maxLines, names, st, log, checkErr, replay)
+	emitText(stdout, mode, *k, *seed, *advName, *maxLines, names, st, log, checkErr, replay)
+	return nil
 }
 
 // verifyReplay re-executes a native recording on the simulator and compares
@@ -117,11 +134,11 @@ type replayReport struct {
 	CountsMatch bool `json:"counts_match"`
 }
 
-func emitText(mode string, k int, seed uint64, advName string, maxLines int, names []uint64, st *renaming.Stats, log *renaming.EventLog, checkErr error, replay *replayReport) {
+func emitText(w io.Writer, mode string, k int, seed uint64, advName string, maxLines int, names []uint64, st *renaming.Stats, log *renaming.EventLog, checkErr error, replay *replayReport) {
 	if mode == "native" {
-		fmt.Printf("strong adaptive renaming: k=%d seed=%d runtime=native (recorded)\n", k, seed)
+		fmt.Fprintf(w, "strong adaptive renaming: k=%d seed=%d runtime=native (recorded)\n", k, seed)
 	} else {
-		fmt.Printf("strong adaptive renaming: k=%d seed=%d adversary=%s\n", k, seed, advName)
+		fmt.Fprintf(w, "strong adaptive renaming: k=%d seed=%d adversary=%s\n", k, seed, advName)
 	}
 	lines := 0
 	for _, e := range log.Events() {
@@ -131,7 +148,7 @@ func emitText(mode string, k int, seed uint64, advName string, maxLines int, nam
 		lines++
 		if maxLines > 0 && lines > maxLines {
 			if lines == maxLines+1 {
-				fmt.Println("  ... (truncated; use -max 0 for everything)")
+				fmt.Fprintln(w, "  ... (truncated; use -max 0 for everything)")
 			}
 			continue
 		}
@@ -139,31 +156,31 @@ func emitText(mode string, k int, seed uint64, advName string, maxLines int, nam
 		if e.Kind == renaming.EvCrash {
 			verb = "CRASH"
 		}
-		fmt.Printf("  t=%-6d p%-3d %s\n", e.Seq, e.Proc, verb)
+		fmt.Fprintf(w, "  t=%-6d p%-3d %s\n", e.Seq, e.Proc, verb)
 	}
 
-	fmt.Printf("\n%d scheduling decisions total\n\n", lines)
-	fmt.Println("proc  name  steps  reads  writes  cas  comparators  splitters  crashed")
+	fmt.Fprintf(w, "\n%d scheduling decisions total\n\n", lines)
+	fmt.Fprintln(w, "proc  name  steps  reads  writes  cas  comparators  splitters  crashed")
 	for i := range names {
 		pc := st.PerProc[i]
 		crashed := st.Crashed != nil && st.Crashed[i]
-		fmt.Printf("%4d  %4d  %5d  %5d  %6d  %3d  %11d  %9d  %v\n",
+		fmt.Fprintf(w, "%4d  %4d  %5d  %5d  %6d  %3d  %11d  %9d  %v\n",
 			i, names[i], pc.Steps(),
 			pc.Ops[shmem.OpRead], pc.Ops[shmem.OpWrite], pc.Ops[shmem.OpCAS],
 			pc.Events[shmem.EvComparator], pc.Events[shmem.EvSplitter],
 			crashed)
 	}
 	if checkErr != nil {
-		fmt.Printf("\ntrace check: FAILED: %v\n", checkErr)
+		fmt.Fprintf(w, "\ntrace check: FAILED: %v\n", checkErr)
 	} else {
-		fmt.Printf("\ntrace check: ok (names valid)\n")
+		fmt.Fprintf(w, "\ntrace check: ok (names valid)\n")
 	}
 	if replay != nil {
-		fmt.Printf("sim replay: names match=%v, per-proc counts match=%v\n", replay.NamesMatch, replay.CountsMatch)
+		fmt.Fprintf(w, "sim replay: names match=%v, per-proc counts match=%v\n", replay.NamesMatch, replay.CountsMatch)
 	}
 }
 
-func emitJSON(mode string, k int, seed uint64, advName, crash string, names []uint64, st *renaming.Stats, log *renaming.EventLog, checkErr error, replay *replayReport) {
+func emitJSON(w io.Writer, mode string, k int, seed uint64, advName, crash string, names []uint64, st *renaming.Stats, log *renaming.EventLog, checkErr error, replay *replayReport) error {
 	type jsonProc struct {
 		Proc        int    `json:"proc"`
 		Name        uint64 `json:"name"`
@@ -237,16 +254,9 @@ func emitJSON(mode string, k int, seed uint64, advName, crash string, names []ui
 		}
 		out.Events = append(out.Events, je)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "renametrace:", err)
-	os.Exit(2)
+	return enc.Encode(out)
 }
 
 func pickAdversary(name string, seed uint64) (renaming.Adversary, error) {

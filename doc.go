@@ -228,7 +228,12 @@
 // The counter on the wire is the phased counter, shared by every client:
 // the paper's monotone counter is one-shot (each Inc enters its renaming
 // network as a new participant), so a server can neither share one nor
-// reset it after every op and still count.
+// reset it after every op and still count. The increments of one run — a
+// maximal run of consecutive PhasedIncs in one batch — are in flight at
+// once, so the server applies the run as one add of its length, one
+// spine walk or one cell add however long the run: other clients see a
+// run's increments land together. Each op of the run still replies 0 and
+// counts as one op in the server's metrics.
 //
 // The frame is the unit of everything: one request batch is one write
 // syscall, one server decode, and one reply frame, so the per-round-trip

@@ -87,6 +87,21 @@ func (h *Hist) Record(v uint64) {
 	}
 }
 
+// RecordN adds n samples of value v (none when n is 0), as n Records
+// would, in one update.
+func (h *Hist) RecordN(v, n uint64) {
+	if n == 0 {
+		return
+	}
+	maj, sub := bucket(v)
+	h.counts[maj][sub] += n
+	h.n += n
+	h.sum += v * n
+	if v > h.max {
+		h.max = v
+	}
+}
+
 // Count returns the number of recorded samples.
 func (h *Hist) Count() uint64 { return h.n }
 

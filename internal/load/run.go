@@ -100,7 +100,7 @@ func run(s Scenario, rem Remote) *Report {
 				case <-stopSampler:
 					return
 				case <-tick.C:
-					k := tg.Rename.InFlight() + tg.Phased.InFlight() + int(waveExtra.Load())
+					k := tg.Rename.InFlight() + tg.Wave.InFlight() + tg.Phased.InFlight() + int(waveExtra.Load())
 					ks.sample(prof.classAt(time.Since(start).Seconds()), k)
 				}
 			}

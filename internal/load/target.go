@@ -21,7 +21,15 @@ import (
 // the same thing however it reaches the pools. NewTarget builds the production
 // configuration (hardware TAS, native runtimes).
 type Target struct {
+	// Rename serves solo renames, one checked-out instance per op.
 	Rename *serve.Pool[*core.StrongAdaptive]
+	// Wave pools the renamers that k-process waves run on, served and
+	// crash-storm waves alike. Waves get their own instances so that a
+	// wave's graph never stays with an instance a solo rename checks out:
+	// Put resets every object a graph built, so a rename instance that
+	// once ran a wide wave would pay that wave's reset on every later
+	// rename.
+	Wave *serve.Pool[*core.StrongAdaptive]
 	// Phased serves the shared contention-adaptive phased counter, the one
 	// counter on the wire (the phased ops, which every scenario sends for
 	// Inc/Read; the pool's auto controller drives the split/joined mode
@@ -56,29 +64,34 @@ func newRenamer() func(mem shmem.Mem) *core.StrongAdaptive {
 	}
 }
 
-// NewTarget builds the default target: a pool of strong adaptive renamers
-// with hardware test-and-set, the shared phased counter and the phased
-// wave instances, seeded from seed.
+// NewTarget builds the default target: pools of strong adaptive renamers
+// with hardware test-and-set for renames and for waves, the shared phased
+// counter and the phased wave instances, seeded from seed.
 func NewTarget(seed uint64) *Target {
 	newPhased := func(mem shmem.Mem) *phase.Counter {
 		return phase.NewAAC(mem, phasedWaveLanes, phasedWaveEpoch)
 	}
 	return &Target{
 		Rename:     serve.New(serve.Options{Seed: seed}, newRenamer()),
+		Wave:       serve.New(serve.Options{Seed: seed + 1}, newRenamer()),
 		Phased:     phase.NewPool(phase.Options{Seed: seed + 2}),
 		PhasedWave: serve.New(serve.Options{Seed: seed + 3}, newPhased),
 	}
 }
 
-// Do executes one served operation and returns its value; ok is false for
-// an op code the protocol does not define, the retired codes 2 and 3
-// included. Rename checks an instance out of the shard arg selects, so
-// one key's renames contend on one shard, and gets a fresh instance each
-// (Put resets). A wave runs arg processes, clamped to [1, maxWaveK],
-// fault-free on one checked-out renamer, and returns the width run. The
-// phased ops ignore arg and hit the shared phased counter. Rename and the
-// phased reads allocate nothing.
-func (tg *Target) Do(code wire.OpCode, arg uint64) (uint64, bool) {
+// Do executes a run of n served operations of one code and returns the
+// value each op of it replies; ok is false for an op code the protocol
+// does not define, the retired codes 2 and 3 included. n is the run
+// length wire.Frame.Run reports: above 1 only for OpPhasedInc, whose run
+// is one add of n to the shared phased counter (one lease, one spine walk
+// or cell add). Every other code runs one op and ignores n. Rename checks
+// an instance out of the shard arg selects, so one key's renames contend
+// on one shard, and gets a fresh instance each (Put resets). A wave runs
+// arg processes, clamped to [1, maxWaveK], fault-free on one renamer
+// checked out of the wave pool, and returns the width run. The phased ops
+// ignore arg and hit the shared phased counter. Rename and the phased
+// reads allocate nothing.
+func (tg *Target) Do(code wire.OpCode, arg uint64, n int) (uint64, bool) {
 	switch code {
 	case wire.OpRename:
 		return tg.rename(arg), true
@@ -87,7 +100,7 @@ func (tg *Target) Do(code wire.OpCode, arg uint64) (uint64, bool) {
 		tg.runWave(k, nil)
 		return uint64(k), true
 	case wire.OpPhasedInc:
-		tg.Phased.Inc()
+		tg.Phased.Add(uint64(n))
 		return 0, true
 	case wire.OpPhasedRead:
 		return tg.Phased.Read(), true
@@ -97,7 +110,7 @@ func (tg *Target) Do(code wire.OpCode, arg uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Route returns the pool shard Do(code, arg) checks out of and, for the
+// Route returns the pool shard Do(code, arg, n) checks out of and, for the
 // phased ops, the phased counter's live mode (0 for the other ops): the
 // span attribution of a served op, from the same op-code-to-pool mapping
 // as Do.
@@ -111,10 +124,10 @@ func (tg *Target) Route(code wire.OpCode, arg uint64) (shard int, mode phase.Mod
 	return 0, 0
 }
 
-// Op implements Remote in process: Do, with the routing key unused (one
-// Target owns every key). An undefined op code is an error.
+// Op implements Remote in process: Do of one op, with the routing key
+// unused (one Target owns every key). An undefined op code is an error.
 func (tg *Target) Op(code wire.OpCode, _, arg uint64) (uint64, error) {
-	v, ok := tg.Do(code, arg)
+	v, ok := tg.Do(code, arg, 1)
 	if !ok {
 		return 0, fmt.Errorf("load: undefined op code %d", code)
 	}
@@ -131,11 +144,12 @@ func (tg *Target) rename(key uint64) uint64 {
 	return in.Obj.Rename(in.Proc(), 1)
 }
 
-// runWave checks one renamer out and runs a k-process execution wave
-// against it through the execution layer, with plan (if any) armed — the
-// crash-storm path. Returns the number of plan crashes that fired.
+// runWave checks one renamer out of the wave pool and runs a k-process
+// execution wave against it through the execution layer, with plan (if
+// any) armed — the crash-storm path. Returns the number of plan crashes
+// that fired.
 func (tg *Target) runWave(k int, plan *exec.FaultPlan) uint64 {
-	in := tg.Rename.Get()
+	in := tg.Wave.Get()
 	defer in.Put() // also disarms the plan before the instance recycles
 	ex := in.Exec(k)
 	if plan != nil {

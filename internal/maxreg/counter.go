@@ -181,18 +181,24 @@ func (c *AACCounter) refresh(p shmem.Proc, leaf int) {
 	}
 }
 
-// Inc adds one to the counter on behalf of process p (p.ID() must be below
-// the constructed capacity).
-func (c *AACCounter) Inc(p shmem.Proc) {
+// Inc adds one to the counter on behalf of process p: Add(p, 1).
+func (c *AACCounter) Inc(p shmem.Proc) { c.Add(p, 1) }
+
+// Add adds n to the counter on behalf of process p (p.ID() must be below
+// the constructed capacity) in one increment's steps: p's leaf is read and
+// advanced by n, and the path to the root is refreshed once, so n
+// increments that are concurrent anyway cost one walk. Every reader sees
+// the n land together.
+func (c *AACCounter) Add(p shmem.Proc, n uint64) {
 	id := p.ID()
 	if id >= c.procCap {
 		panic(fmt.Sprintf("maxreg: AACCounter built for %d processes, got id %d", c.procCap, id))
 	}
 	if np := shmem.DirectProc(p); np != nil {
-		c.incWords(np, id)
+		c.addWords(np, id, n)
 		return
 	}
-	c.leaves.Reg(id).Write(p, c.leaves.Reg(id).Read(p)+1)
+	c.leaves.Reg(id).Write(p, c.leaves.Reg(id).Read(p)+n)
 	c.refresh(p, c.size+id)
 }
 
@@ -231,14 +237,14 @@ func (c *AACCounter) Merge(p shmem.Proc, src int, total uint64) {
 	c.refresh(p, c.size+c.mergeBase+src)
 }
 
-// incWords, mergeWords, valueWords and refreshWords are Inc, Merge, value
+// addWords, mergeWords, valueWords and refreshWords are Add, Merge, value
 // and refresh for a direct native proc (shmem.DirectProc): the same steps
 // in the same order, on the leaves' words and the nodes' word walks.
 
-func (c *AACCounter) incWords(np *shmem.NativeProc, id int) {
+func (c *AACCounter) addWords(np *shmem.NativeProc, id int, n uint64) {
 	leaves := arenaWords(c.leaves)
 	w := leaves.at(uint64(id))
-	writeWord(np, w, readWord(np, w)+1)
+	writeWord(np, w, readWord(np, w)+n)
 	c.refreshWords(np, leaves, c.size+id)
 }
 

@@ -11,12 +11,14 @@ import (
 
 // scriptOp is one operation of a sequential script against an object
 // built on some runtime. run returns the value the operation read (0 for
-// writes); read marks operations whose value is checked against want.
+// writes); read marks operations whose value is checked against want. add
+// is n for an AACCounter Add(p, n), 1 for an Inc, and 0 otherwise.
 type scriptOp struct {
 	name string
 	run  func(p shmem.Proc) uint64
 	read bool
 	want uint64
+	add  uint64
 }
 
 // stepScript builds one object on a runtime and returns it with a
@@ -129,7 +131,9 @@ func maxScript(r MaxReg, vals []uint64) []scriptOp {
 // registers that are flat (1, 64), one switch over flat halves (65) and
 // many levels of lazily allocated switches (2^20); the unbounded register
 // across many spine levels; and a merge-layout AAC counter under
-// increments, reads and merges that rewrite held totals.
+// increments, adds of 2 to 2^20+1 (one increment's walk each, whose value
+// must read as that many increments), reads and merges that rewrite held
+// totals.
 func stepScripts() []stepScript {
 	var scripts []stepScript
 	for _, m := range []uint64{1, 64, 65, 1 << 20} {
@@ -162,13 +166,22 @@ func stepScripts() []stepScript {
 			}})
 			merged[src] = max(merged[src], total)
 		}
+		adds := []uint64{2, 3, 5, 31, 32, 33, 64, 65, 1000, 1 << 12, 1<<20 + 1}
 		for round := range 48 {
 			for range 1 + round%3 {
-				ops = append(ops, scriptOp{name: "Inc", run: func(p shmem.Proc) uint64 {
+				ops = append(ops, scriptOp{name: "Inc", add: 1, run: func(p shmem.Proc) uint64 {
 					c.Inc(p)
 					return 0
 				}})
 				incs++
+			}
+			if round%4 == 1 {
+				n := adds[round/4%len(adds)]
+				ops = append(ops, scriptOp{name: fmt.Sprintf("Add(%d)", n), add: n, run: func(p shmem.Proc) uint64 {
+					c.Add(p, n)
+					return 0
+				}})
+				incs += n
 			}
 			ops = append(ops,
 				scriptOp{name: "Read", read: true, want: sum(), run: c.Read},

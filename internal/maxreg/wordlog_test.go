@@ -26,7 +26,9 @@ type wordStep struct {
 // step through. Each operation must log one entry per step it counts, and
 // the same entries in the same order on both walks. A word walk that set a
 // switch before writing the subtree it guards would log that write early
-// and fail here on every run.
+// and fail here on every run. An AACCounter Inc or Add(p, n) must take one
+// increment's steps: it reads its leaf, writes it once with the value read
+// plus n, and then only refreshes the path, writing the leaf no more.
 //
 // The Reset allocates a fresh left child wherever a set switch dropped
 // one, so the FastReg walk meets those registers at new addresses. Words
@@ -55,6 +57,9 @@ func TestWordWalkOrder(t *testing.T) {
 				words[i] = log
 				if steps := direct.StepsTaken() - before; uint64(len(log)) != steps {
 					t.Fatalf("%s pad=%v op %d %s: word walk logged %d steps, counted %d", sc.label, pad, i, op.name, len(log), steps)
+				}
+				if op.add > 0 {
+					checkLeafAdd(t, sc.label, pad, i, op, log)
 				}
 			}
 			obj.Reset()
@@ -85,6 +90,22 @@ func TestWordWalkOrder(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkLeafAdd requires an increment's word log to open with a read of its
+// leaf and a write of that value plus op.add to the same word, and to
+// write the leaf nowhere else.
+func checkLeafAdd(t *testing.T, label string, pad bool, i int, op scriptOp, log []wordStep) {
+	t.Helper()
+	if len(log) < 2 || log[0].Op != shmem.OpRead || log[1].Op != shmem.OpWrite ||
+		log[1].Word != log[0].Word || log[1].Val != log[0].Val+op.add {
+		t.Fatalf("%s pad=%v op %d %s: does not open with a leaf read and a write of it plus %d: %v", label, pad, i, op.name, op.add, log)
+	}
+	for j, e := range log[2:] {
+		if e.Word == log[0].Word && e.Op != shmem.OpRead {
+			t.Fatalf("%s pad=%v op %d %s: step %d writes the leaf again: %v", label, pad, i, op.name, j+2, log)
 		}
 	}
 }

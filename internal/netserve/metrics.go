@@ -70,6 +70,7 @@ func (s *Server) MetricsText() string {
 	}
 
 	writePool(b, "rename", s.tg.Rename.Stats())
+	writePool(b, "wave", s.tg.Wave.Stats())
 
 	pst := s.tg.Phased.Stats()
 	mode := 0

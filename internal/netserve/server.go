@@ -15,11 +15,12 @@
 //     ops are consumed straight out of the read buffer, never materialized;
 //   - pooled execution: every op runs through load.Target.Do, the one
 //     definition of the served ops, which the in-process load harness
-//     runs too. Renames check instances out of the serve.Pool shards by
-//     the client-supplied key, so a tenant's hot keys land on one shard,
-//     and recycle them via the Put disarm path — a connection dying
-//     mid-batch cannot leak an instance (Do's checkouts Put through
-//     defers);
+//     runs too; a run of consecutive PhasedIncs goes through it once, as
+//     one add of the run's length (wire.OpPhasedInc). Renames check
+//     instances out of the serve.Pool shards by the client-supplied key,
+//     so a tenant's hot keys land on one shard, and recycle them via the
+//     Put disarm path — a connection dying mid-batch cannot leak an
+//     instance (Do's checkouts Put through defers);
 //   - coalesced writes: replies accumulate in a buffered writer that is
 //     flushed only when the connection's read buffer runs dry, so a
 //     pipelining client's n in-flight batches cost ~one write syscall per
@@ -211,7 +212,7 @@ func (ss *session) fold() {
 	s.hmu.Lock()
 	for i := range ss.ophist {
 		// The overall hist is the per-op hists' union, derived here at fold
-		// time so the serving loop pays for exactly one Record per op.
+		// time so the serving loop records each op once.
 		s.hist.Merge(&ss.ophist[i])
 		s.ophist[i].Merge(&ss.ophist[i])
 	}
@@ -290,15 +291,15 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 	// the tail further. (Arrival time inside the kernel buffer is not
 	// observable; the budget bounds processing, which is what queues.)
 	//
-	// The frame reads the wall clock once, at t0; after each op it reads
+	// The frame reads the wall clock once, at t0; after each run it reads
 	// only the monotonic offset time.Since(t0), half the cost of a
-	// time.Now. Each op's duration, the deadline check, the stage sums and
+	// time.Now. Each run's duration, the deadline check, the stage sums and
 	// the sampled spans' start times all derive from those offsets, so a
-	// frame's op spans tile it exactly and the per-op histograms still
-	// record each op's own time.
+	// frame's op spans tile it exactly and the per-op histograms record
+	// each op's own time (a run's ops an equal share of the run's).
 	t0 := time.Now()
 	budget := time.Duration(f.Deadline)
-	var prev time.Duration // offset from t0 at which the previous op ended
+	var prev time.Duration // offset from t0 at which the previous run ended
 	vals := ss.vals[:0]
 	// Tracing: the client marked this batch sampled, so every hop inside it
 	// records a span under the propagated trace id, parented on the frame
@@ -310,12 +311,18 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 		frameSpan = ss.srv.col.NextID()
 	}
 	var admitNS, execNS int64
-	for i := 0; i < f.Ops(); i++ {
+	// The frame is served run by run (wire.Frame.Run): a run of n
+	// consecutive PhasedIncs is one Do of n, every other op a run of one.
+	// A run is checked against the deadline, admitted and timed as one op,
+	// and each of its ops replies and counts as one op.
+	for i, n := 0, 0; i < f.Ops(); i += n {
 		if budget > 0 && prev > budget {
 			ss.srv.errs.Add(1)
 			return wire.AppendError(out, f.Seq, wire.EDeadline, "deadline exceeded mid-batch")
 		}
-		code, arg := f.Op(i)
+		var code wire.OpCode
+		var arg uint64
+		code, arg, n = f.Run(i)
 		var v uint64
 		var ok bool
 		var waited time.Duration
@@ -337,15 +344,17 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 				}
 				return wire.AppendError(out, f.Seq, wire.EShed, "shed by admission control (queue full or deadline)")
 			}
-			v, ok = ss.opAdmitted(g, code, arg)
+			v, ok = ss.opAdmitted(g, code, arg, n)
 		} else {
-			v, ok = ss.srv.tg.Do(code, arg)
+			v, ok = ss.srv.tg.Do(code, arg, n)
 		}
 		if !ok {
 			ss.srv.errs.Add(1)
 			return wire.AppendError(out, f.Seq, wire.EBadOp, "unknown opcode")
 		}
-		vals = append(vals, v)
+		for range n {
+			vals = append(vals, v)
+		}
 		end := time.Since(t0)
 		d := end - prev
 		exec := d - waited
@@ -355,11 +364,15 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 		admitNS += int64(waited)
 		execNS += int64(exec)
 		if sampled {
-			ss.recordOpSpans(&f, frameSpan, t0, prev, waited, exec, code, arg)
+			ss.recordOpSpans(&f, frameSpan, t0, prev, waited, exec, code, arg, n)
 		}
-		ss.ophist[code&7].Record(uint64(d))
-		ss.ops[code&7]++
-		ss.nops++
+		if n == 1 {
+			ss.ophist[code&7].Record(uint64(d))
+		} else {
+			recordRun(&ss.ophist[code&7], d, n)
+		}
+		ss.ops[code&7] += uint64(n)
+		ss.nops += uint64(n)
 		prev = end
 	}
 	ss.vals = vals
@@ -376,12 +389,22 @@ func (ss *session) serveFrame(payload []byte, out []byte) []byte {
 	return wire.AppendReply(out, f.Seq, vals)
 }
 
-// recordOpSpans records a sampled op's spans — its admission wait (when it
-// queued) and the op itself, both parented on the frame span; the op began
-// at offset prev from the frame's t0. Kept out of line so the untraced
-// serving loop pays one predicted branch, not the span-construction code
-// in its body.
-func (ss *session) recordOpSpans(f *wire.Frame, frameSpan uint64, t0 time.Time, prev, waited, exec time.Duration, code wire.OpCode, arg uint64) {
+// recordRun records the n ops of a run that took d in h: each gets an
+// equal share of d, the first d mod n of them one nanosecond more, so the
+// n samples sum to d.
+func recordRun(h *load.Hist, d time.Duration, n int) {
+	q, r := uint64(d)/uint64(n), uint64(d)%uint64(n)
+	h.RecordN(q+1, r)
+	h.RecordN(q, uint64(n)-r)
+}
+
+// recordOpSpans records a sampled run's spans — its admission wait (when
+// it queued) and one span per op, all parented on the frame span; the run
+// began at offset prev from the frame's t0. The n op spans share the
+// run's execution time as recordRun shares it, so they tile it. Kept out
+// of line so the untraced serving loop pays one predicted branch, not the
+// span-construction code in its body.
+func (ss *session) recordOpSpans(f *wire.Frame, frameSpan uint64, t0 time.Time, prev, waited, exec time.Duration, code wire.OpCode, arg uint64, n int) {
 	start := t0.UnixNano() + int64(prev)
 	if waited > 0 {
 		ss.srv.col.Record(obs.Span{
@@ -393,14 +416,24 @@ func (ss *session) recordOpSpans(f *wire.Frame, frameSpan uint64, t0 time.Time, 
 			Kind:   obs.KindAdmit,
 		})
 	}
-	ss.srv.col.Record(obs.Span{
-		Trace:  f.Trace,
-		Parent: frameSpan,
-		Start:  start + int64(waited),
-		Dur:    int64(exec),
-		Attr:   ss.opAttr(code, arg),
-		Kind:   obs.KindOp,
-	})
+	attr := ss.opAttr(code, arg)
+	at := start + int64(waited)
+	q, r := int64(exec)/int64(n), int64(exec)%int64(n)
+	for j := range int64(n) {
+		dur := q
+		if j < r {
+			dur++
+		}
+		ss.srv.col.Record(obs.Span{
+			Trace:  f.Trace,
+			Parent: frameSpan,
+			Start:  at,
+			Dur:    dur,
+			Attr:   attr,
+			Kind:   obs.KindOp,
+		})
+		at += dur
+	}
 }
 
 // recordShedSpan records a sampled shed — the terminal admission wait,
@@ -439,9 +472,9 @@ func (ss *session) opAttr(code wire.OpCode, arg uint64) uint64 {
 	return obs.PackOp(uint8(code), shard, uint8(mode), ss.srv.node)
 }
 
-// opAdmitted runs one admitted operation and releases its gate slot (also
-// on panic — a dying op must not eat a slot forever).
-func (ss *session) opAdmitted(g *gate, code wire.OpCode, arg uint64) (uint64, bool) {
+// opAdmitted runs one admitted run of n ops and releases its gate slot
+// (also on panic — a dying op must not eat a slot forever).
+func (ss *session) opAdmitted(g *gate, code wire.OpCode, arg uint64, n int) (uint64, bool) {
 	defer g.release()
-	return ss.srv.tg.Do(code, arg)
+	return ss.srv.tg.Do(code, arg, n)
 }

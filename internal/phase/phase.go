@@ -11,11 +11,12 @@
 //     is racing it.
 //   - Split: Inc lands in a cache-line-padded per-shard cell (one atomic
 //     fetch-and-add, lock-free, allocation-free) and the spine is updated
-//     only on epoch boundaries: when a cell's cumulative count crosses a
-//     multiple of the epoch, the crossing incrementer merges that cell into
-//     the spine (cooperative reconciliation). The spine walk is amortized
-//     over the epoch — at high contention this replaces the contended
-//     O(log n · log v) walk per Inc with one uncontended add.
+//     only on epoch boundaries: when a cell's cumulative count reaches or
+//     passes a multiple of the epoch, the crossing incrementer merges
+//     that cell into the spine (cooperative reconciliation). The spine
+//     walk is amortized over the epoch — at high contention this replaces
+//     the contended O(log n · log v) walk per Inc with one uncontended
+//     add.
 //
 // Reads never lose monotone consistency to the split (the correctness
 // contract exec.CheckCounterTrace verifies): cells are *cumulative* — they
@@ -125,18 +126,22 @@ func (c *Counter) SetMode(m Mode) {
 	}
 }
 
-// Inc adds one on behalf of p. Joined mode is the spine's own increment;
-// split mode is one padded fetch-and-add, plus a cooperative merge when
-// the cell crosses an epoch boundary.
-func (c *Counter) Inc(p shmem.Proc) {
+// Inc adds one on behalf of p: Add(p, 1).
+func (c *Counter) Inc(p shmem.Proc) { c.Add(p, 1) }
+
+// Add adds n ≥ 1 on behalf of p as one operation. Joined mode is the
+// spine's own add, one increment's walk; split mode is one padded
+// fetch-and-add, plus a cooperative merge when the cell crosses a
+// multiple of the epoch, whether it lands on one or passes it.
+func (c *Counter) Add(p shmem.Proc, n uint64) {
 	if Mode(c.mode.Load()) == Joined {
-		c.spine.Inc(p)
+		c.spine.Add(p, n)
 		return
 	}
 	shard := uint64(p.ID()) & c.mask
-	n := c.cells.Add(p, int(shard), 1)
-	if n&(c.epoch-1) == 0 {
-		c.spine.Merge(p, int(shard), n)
+	v := c.cells.Add(p, int(shard), n)
+	if (v-n)&^(c.epoch-1) != v&^(c.epoch-1) {
+		c.spine.Merge(p, int(shard), v)
 		c.merges.Add(1)
 	}
 }

@@ -176,18 +176,23 @@ func (p *Pool) lease() *lane {
 
 func (p *Pool) release(ln *lane) { ln.leased.Store(0) }
 
-// Inc increments the shared counter through a leased lane.
-func (p *Pool) Inc() {
+// Inc increments the shared counter through a leased lane: Add(1).
+func (p *Pool) Inc() { p.Add(1) }
+
+// Add adds n ≥ 1 to the shared counter through one lease and one counter
+// operation (Counter.Add), and counts n operations on the lane: a batch
+// of increments that are concurrent anyway, served at the cost of one.
+func (p *Pool) Add(n uint64) {
 	ln := p.lease()
-	p.c.Inc(ln.proc)
-	p.finish(ln)
+	p.c.Add(ln.proc, n)
+	p.finish(ln, n)
 }
 
 // Read returns the fast monotone-consistent value.
 func (p *Pool) Read() uint64 {
 	ln := p.lease()
 	v := p.c.Read(ln.proc)
-	p.finish(ln)
+	p.finish(ln, 1)
 	return v
 }
 
@@ -196,16 +201,16 @@ func (p *Pool) Read() uint64 {
 func (p *Pool) ReadStrict() uint64 {
 	ln := p.lease()
 	v := p.c.ReadStrict(ln.proc)
-	p.finish(ln)
+	p.finish(ln, 1)
 	return v
 }
 
-// finish completes one lane operation: per-lane op accounting, a
-// controller tick when this lane crosses the evaluation period, then the
-// lease release.
-func (p *Pool) finish(ln *lane) {
-	n := ln.ops.Add(1)
-	if p.opts.Policy == Auto && n&(tickOps-1) == 0 {
+// finish completes a lane operation that counts as ops operations: per-lane
+// op accounting, a controller tick when this lane's count crosses a
+// multiple of the evaluation period, then the lease release.
+func (p *Pool) finish(ln *lane, ops uint64) {
+	n := ln.ops.Add(ops)
+	if p.opts.Policy == Auto && (n-ops)/tickOps != n/tickOps {
 		p.tick(ln.proc)
 	}
 	p.release(ln)

@@ -1,6 +1,7 @@
 package phase
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -67,6 +68,21 @@ func TestControllerHysteresis(t *testing.T) {
 	}
 }
 
+// TestAddTicksController pins that an Add counts its n ops toward the
+// controller's period: the controller evaluates when a lane's count passes
+// a multiple of tickOps, not only when it lands on one.
+func TestAddTicksController(t *testing.T) {
+	p := NewPool(Options{Lanes: 1})
+	p.Add(tickOps - 1)
+	if p.lastOps != 0 {
+		t.Fatalf("controller evaluated at %d ops, before the lane reached %d", p.lastOps, tickOps)
+	}
+	p.Add(3)
+	if p.lastOps != tickOps+2 {
+		t.Fatalf("after the lane passed %d ops the controller last saw %d, want %d", tickOps, p.lastOps, tickOps+2)
+	}
+}
+
 // TestControllerRejoinReconciles pins that the Split→Joined transition
 // drains the cells: the spine must carry every split-era increment
 // afterwards (no carried staleness into the joined phase).
@@ -112,7 +128,9 @@ func TestPoolModesAgree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewPool(tc.opts)
-			const g, per = 8, 5000
+			// Each goroutine increments per times, then adds 1 to 19 at a
+			// time, runs' totals adding up to added.
+			const g, per, runs, added = 8, 5000, 190, 1900
 			var wg sync.WaitGroup
 			for i := 0; i < g; i++ {
 				wg.Add(1)
@@ -121,14 +139,18 @@ func TestPoolModesAgree(t *testing.T) {
 					for j := 0; j < per; j++ {
 						p.Inc()
 					}
+					for j := 0; j < runs; j++ {
+						p.Add(uint64(1 + j%19))
+					}
 				}()
 			}
 			wg.Wait()
-			if v := p.ReadStrict(); v != g*per {
-				t.Fatalf("ReadStrict = %d, want %d", v, g*per)
+			const want = g * (per + added)
+			if v := p.ReadStrict(); v != want {
+				t.Fatalf("ReadStrict = %d, want %d", v, want)
 			}
-			if v := p.Read(); v != g*per {
-				t.Fatalf("Read after strict = %d, want %d", v, g*per)
+			if v := p.Read(); v != want {
+				t.Fatalf("Read after strict = %d, want %d", v, want)
 			}
 			if fl := p.InFlight(); fl != 0 {
 				t.Fatalf("InFlight after quiescence = %d, want 0", fl)
@@ -138,23 +160,38 @@ func TestPoolModesAgree(t *testing.T) {
 }
 
 // TestPoolStalenessBound pins the documented split-mode bound: the spine
-// trails the fast value by less than one epoch per cell.
+// trails the fast value by less than one epoch per cell, after single
+// increments and after adds whose lengths sit around the epoch, which
+// pass a multiple of it far more often than they land on one.
 func TestPoolStalenessBound(t *testing.T) {
 	const lanes, epoch = 4, 16
 	p := NewPool(Options{Lanes: lanes, Epoch: epoch, Policy: PinSplit})
+	var want uint64
+	check := func(what string) {
+		t.Helper()
+		st := p.Stats()
+		if st.Lag >= lanes*epoch {
+			t.Fatalf("%s: lag %d breaches the bound: %d cells × epoch %d", what, st.Lag, lanes, epoch)
+		}
+		fast := p.Read()
+		if spine := p.c.ReadSpine(p.lanes[0].proc); fast-spine >= lanes*epoch {
+			t.Fatalf("%s: fast %d − spine %d breaches the %d bound", what, fast, spine, lanes*epoch)
+		}
+		if fast != want {
+			t.Fatalf("%s: fast read = %d, want %d", what, fast, want)
+		}
+	}
 	for i := 0; i < 1000; i++ {
 		p.Inc()
 	}
-	st := p.Stats()
-	if st.Lag >= lanes*epoch {
-		t.Fatalf("lag %d breaches the bound: %d cells × epoch %d", st.Lag, lanes, epoch)
-	}
-	fast := p.Read()
-	if spine := p.c.ReadSpine(p.lanes[0].proc); fast-spine >= lanes*epoch {
-		t.Fatalf("fast %d − spine %d breaches the %d bound", fast, spine, lanes*epoch)
-	}
-	if fast != 1000 {
-		t.Fatalf("fast read = %d, want 1000", fast)
+	want = 1000
+	check("1000 Incs")
+	for i, n := range []uint64{epoch - 1, epoch + 1, epoch + 1, epoch + 1, 2*epoch - 1, 2*epoch + 1, 3*epoch + 1, epoch, 1, epoch + 3, 7*epoch - 1} {
+		for range 4 {
+			p.Add(n)
+			want += n
+			check(fmt.Sprintf("add %d of %d", i, n))
+		}
 	}
 }
 
@@ -212,18 +249,19 @@ func TestPoolLiveHeap(t *testing.T) {
 	}
 }
 
-// TestPoolStats pins the summary surface.
+// TestPoolStats pins the summary surface; an Add of n counts n ops.
 func TestPoolStats(t *testing.T) {
 	p := NewPool(Options{Lanes: 2, Epoch: 4, Policy: PinSplit})
 	for i := 0; i < 10; i++ {
 		p.Inc()
 	}
+	p.Add(5)
 	st := p.Stats()
 	if st.Mode != Split {
 		t.Errorf("Stats.Mode = %v, want split", st.Mode)
 	}
-	if st.Ops != 10 {
-		t.Errorf("Stats.Ops = %d, want 10", st.Ops)
+	if st.Ops != 15 {
+		t.Errorf("Stats.Ops = %d, want 15", st.Ops)
 	}
 	if st.Merges == 0 {
 		t.Errorf("Stats.Merges = 0, want > 0 (epoch 4 over 10 incs)")

@@ -88,7 +88,12 @@ const (
 	// wave width actually run.
 	OpWave OpCode = 4
 	// OpPhasedInc increments the shared contention-adaptive phased counter
-	// (arg ignored); the reply value is 0.
+	// (arg ignored); the reply value is 0. The ops of one run — a maximal
+	// run of consecutive OpPhasedIncs in one batch, which Frame.Run finds —
+	// are in flight at once, so a server may apply the run as one add of
+	// its length: other clients then see the run's increments land
+	// together, never a part of them. Every op of the run still replies 0
+	// and counts as one op.
 	OpPhasedInc OpCode = 5
 	// OpPhasedRead reads the phased counter's fast monotone-consistent
 	// value (arg ignored).
@@ -310,6 +315,21 @@ func (f *Frame) Ops() int { return f.n }
 func (f *Frame) Op(i int) (OpCode, uint64) {
 	o := f.body[i*opSize : i*opSize+opSize]
 	return OpCode(o[0]), binary.LittleEndian.Uint64(o[1:9])
+}
+
+// Run returns op i of a TBatch frame and the length n of the run it
+// starts: the maximal run of consecutive OpPhasedIncs from op i when op i
+// is one (see OpPhasedInc), 1 for every other op. A server that walks a
+// frame with i += n reads each op once. i must be in [0, Ops()).
+func (f *Frame) Run(i int) (code OpCode, arg uint64, n int) {
+	code, arg = f.Op(i)
+	n = 1
+	if code == OpPhasedInc {
+		for i+n < f.n && OpCode(f.body[(i+n)*opSize]) == OpPhasedInc {
+			n++
+		}
+	}
+	return code, arg, n
 }
 
 // Val returns value i of a TReply frame. i must be in [0, Ops()).
